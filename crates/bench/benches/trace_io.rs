@@ -2,7 +2,8 @@
 //!
 //! The streaming pipeline only pays off if decode runs far ahead of the
 //! simulator (~1 Mref/s): these rows pin encode, chunk decode (both store
-//! backends), bulk refill vs per-record iteration, and end-to-end replay.
+//! backends), bulk refill vs per-record iteration, interleave sharding
+//! both one shard after another and in lock-step, and end-to-end replay.
 
 use bench::micro::Group;
 use mem_trace::codec::DEFAULT_CHUNK_TARGET;
@@ -72,8 +73,8 @@ fn main() {
         total
     });
 
-    // Interleave sharding decodes every chunk once per shard; the row
-    // bounds the cost of the 8-way replay split.
+    // Draining 8 interleave shards one after another: no cursor shares
+    // a decode, so every chunk is decoded once per shard.
     g.bench("shard_interleave8", || {
         let mut acc = 0u64;
         for i in 0..8 {
@@ -85,6 +86,33 @@ fn main() {
             }
         }
         acc
+    });
+
+    // The simulator's shape of the same split: 8 cursors refilled
+    // round-robin, 128 records at a time, share each decoded chunk.
+    g.bench("shard_interleave8_lockstep", || {
+        let mut cursors: Vec<_> = (0..8)
+            .map(|i| {
+                mem.shard(ShardSpec::Interleave {
+                    shards: 8,
+                    index: i,
+                })
+            })
+            .collect();
+        let mut buf = Vec::with_capacity(128);
+        let mut total = 0usize;
+        loop {
+            let mut round = 0usize;
+            for c in &mut cursors {
+                buf.clear();
+                round += c.refill(&mut buf, 128);
+            }
+            if round == 0 {
+                break;
+            }
+            total += round;
+        }
+        total
     });
 
     // End-to-end: stream the file through the simulator under ReDHiP.

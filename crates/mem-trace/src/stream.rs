@@ -1,11 +1,20 @@
 //! Chunk-at-a-time replay of v2 trace files with bounded memory.
 //!
 //! [`StreamTrace`] opens a v2 file, validates its header/index/tail once,
-//! and then serves records by decoding one chunk at a time into a
-//! reusable scratch buffer. Steady-state replay therefore performs **zero
-//! per-record heap allocation** and keeps at most one decoded chunk
-//! (`chunk_target` records, ~1.3 MB at the default target) resident per
-//! cursor, regardless of trace size.
+//! and then serves records one decoded chunk at a time. Steady-state
+//! replay performs **zero per-record heap allocation**: the only
+//! allocation is one buffer per chunk decode.
+//!
+//! Decoded chunks belong to the *open file*, not to a cursor. Every
+//! cursor over one file (its clones and [`StreamTrace::shard`]s) looks a
+//! chunk up in a shared table of weak handles before decoding it, so
+//! cursors that walk the file together decode each chunk once: an 8-core
+//! interleave replay, where each shard keeps 1/8 of a chunk's records,
+//! decodes every chunk once instead of 8 times. A chunk is freed when the
+//! last cursor leaves it. Memory stays bounded: a cursor pins at most one
+//! decoded chunk (`chunk_target` records, ~1.3 MB at the default target),
+//! and cursors in lock-step share one or two in total, regardless of
+//! trace size.
 //!
 //! The bytes come from one of three backends behind the same abstraction:
 //!
@@ -17,8 +26,8 @@
 //!   and as the non-Unix fallback.
 //!
 //! Cloning a `StreamTrace` (or calling [`StreamTrace::shard`]) creates an
-//! independent cursor over the *same* backend — one mapping shared by
-//! every simulated core.
+//! independent cursor over the *same* backend and decoded-chunk table —
+//! one mapping shared by every simulated core.
 //!
 //! Mid-stream corruption or I/O failure panics with context: the layout
 //! is fully validated at open, so a payload that fails to decode later
@@ -35,7 +44,7 @@ use crate::{TraceFeed, VecTrace};
 use std::fs::File;
 use std::io::{self, BufWriter, Read};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Minimal raw mmap bindings. glibc is already linked through `std`, so
 /// declaring the two symbols we need avoids a dependency on the `libc`
@@ -181,8 +190,12 @@ impl Store {
     }
 }
 
-/// The shared, immutable side of an open trace: backend + validated
-/// layout. Every cursor ([`StreamTrace`]) holds an `Arc` to one of these.
+/// One decoded chunk, shared by every cursor currently reading it.
+type Chunk = Arc<Vec<TraceRecord>>;
+
+/// The shared side of an open trace: backend, validated layout and the
+/// decoded chunks some cursor still holds. Every cursor ([`StreamTrace`])
+/// holds an `Arc` to one of these.
 #[derive(Debug)]
 struct TraceInner {
     store: Store,
@@ -191,6 +204,23 @@ struct TraceInner {
     /// equal to `total_records`; binary-searched to seek.
     cum: Vec<u64>,
     path: Option<PathBuf>,
+    /// Locked once per chunk crossing, never per record.
+    chunks: Mutex<ChunkTable>,
+}
+
+/// Decoded chunks by index, plus the decode scratch. It holds only
+/// `Weak`s and a scratch buffer that every use overwrites, so a panic
+/// mid-decode leaves nothing inconsistent and a poisoned lock is safe to
+/// re-enter.
+#[derive(Debug, Default)]
+struct ChunkTable {
+    /// One entry per chunk; upgrades while some cursor holds the chunk.
+    live: Vec<Weak<Vec<TraceRecord>>>,
+    /// Raw-byte scratch for the positioned-read backend.
+    raw: Vec<u8>,
+    /// Chunk decodes performed for this file.
+    #[cfg(test)]
+    decodes: usize,
 }
 
 /// Summary of an open trace file, for `trace info` and logging.
@@ -230,12 +260,8 @@ impl TraceInfo {
 #[derive(Debug)]
 pub struct StreamTrace {
     inner: Arc<TraceInner>,
-    /// Index of the currently decoded chunk; `usize::MAX` = none yet.
-    chunk: usize,
-    /// Decoded records of `chunk`, reused across refills.
-    decoded: Vec<TraceRecord>,
-    /// Raw-byte scratch for the positioned-read backend, reused likewise.
-    raw: Vec<u8>,
+    /// The decoded chunk this cursor reads (empty before the first read).
+    decoded: Chunk,
     /// Global index of `decoded[0]`.
     base: u64,
     /// Shard window end (`next_global` walks `start, start+stride, … < end`).
@@ -299,11 +325,16 @@ impl StreamTrace {
     fn from_store(store: Store, path: Option<PathBuf>) -> Result<Self, TraceIoError> {
         let layout = load_layout(&store)?;
         let cum = layout.cumulative_starts();
+        let chunks = Mutex::new(ChunkTable {
+            live: layout.chunks.iter().map(|_| Weak::new()).collect(),
+            ..ChunkTable::default()
+        });
         let inner = Arc::new(TraceInner {
             store,
             layout,
             cum,
             path,
+            chunks,
         });
         Ok(Self::cursor(inner, ShardSpec::All))
     }
@@ -313,9 +344,7 @@ impl StreamTrace {
         let (start, end, stride) = spec.window(total);
         Self {
             inner,
-            chunk: usize::MAX,
-            decoded: Vec::new(),
-            raw: Vec::new(),
+            decoded: Chunk::default(),
             base: 0,
             end,
             stride,
@@ -325,8 +354,8 @@ impl StreamTrace {
     }
 
     /// A fresh cursor over the same open file restricted to `spec`'s
-    /// window. The backend (mapping or file handle) is shared; scratch
-    /// buffers are per-cursor.
+    /// window. The backend (mapping or file handle) and the decoded
+    /// chunks are shared; the read position is per-cursor.
     pub fn shard(&self, spec: ShardSpec) -> StreamTrace {
         Self::cursor(Arc::clone(&self.inner), spec)
     }
@@ -372,15 +401,16 @@ impl StreamTrace {
         self.inner.path.as_deref()
     }
 
-    /// Records currently resident in this cursor's decoded scratch — the
-    /// quantity the bounded-memory guarantee is about: it never exceeds
-    /// the largest chunk in the file.
+    /// Records in the decoded chunk this cursor holds — the quantity the
+    /// bounded-memory guarantee is about: it never exceeds the largest
+    /// chunk in the file.
     pub fn resident_records(&self) -> usize {
         self.decoded.capacity()
     }
 
-    /// Decodes the chunk containing global record `g` into the scratch
-    /// buffer. `g` must be `< total_records`.
+    /// Points this cursor at the chunk containing global record `g`,
+    /// reusing another cursor's decode when one is live and decoding (then
+    /// publishing) it otherwise. `g` must be `< total_records`.
     #[cold]
     fn load_chunk_containing(&mut self, g: u64) {
         let inner = &*self.inner;
@@ -388,16 +418,34 @@ impl StreamTrace {
         // resolve to the last, i.e. the one actually containing g.
         let n = inner.layout.chunks.len();
         let idx = inner.cum[..n].partition_point(|&s| s <= g) - 1;
-        let meta: &ChunkMeta = &inner.layout.chunks[idx];
-        let bytes = inner
-            .store
-            .read(meta.offset, meta.bytes as usize, &mut self.raw)
-            .unwrap_or_else(|e| panic!("trace chunk {idx} read failed: {e}"));
-        self.decoded.clear();
-        codec::decode_chunk_bytes(bytes, idx as u64, meta, &mut self.decoded)
-            .unwrap_or_else(|e| panic!("trace chunk {idx} corrupt after validation: {e}"));
-        metrics::TRACE_CHUNKS_DECODED.incr();
-        self.chunk = idx;
+        // Decoding under the lock means cursors in lock-step on other
+        // threads wait for this decode instead of repeating it.
+        let mut table = inner.chunks.lock().unwrap_or_else(PoisonError::into_inner);
+        let chunk = match table.live[idx].upgrade() {
+            Some(chunk) => chunk,
+            None => {
+                let meta: &ChunkMeta = &inner.layout.chunks[idx];
+                let bytes = inner
+                    .store
+                    .read(meta.offset, meta.bytes as usize, &mut table.raw)
+                    .unwrap_or_else(|e| panic!("trace chunk {idx} read failed: {e}"));
+                let mut decoded = Vec::new();
+                codec::decode_chunk_bytes(bytes, idx as u64, meta, &mut decoded)
+                    .unwrap_or_else(|e| panic!("trace chunk {idx} corrupt after validation: {e}"));
+                metrics::TRACE_CHUNKS_DECODED.incr();
+                #[cfg(test)]
+                {
+                    table.decodes += 1;
+                }
+                let chunk = Arc::new(decoded);
+                table.live[idx] = Arc::downgrade(&chunk);
+                chunk
+            }
+        };
+        drop(table);
+        // Releasing the old chunk (possibly its last holder) happens
+        // outside the lock.
+        self.decoded = chunk;
         self.base = inner.cum[idx];
         debug_assert!(g >= self.base && g < self.base + self.decoded.len() as u64);
     }
@@ -405,13 +453,13 @@ impl StreamTrace {
     /// True when the chunk holding `g` is already decoded.
     #[inline]
     fn resident(&self, g: u64) -> bool {
-        self.chunk != usize::MAX && g >= self.base && g < self.base + self.decoded.len() as u64
+        g >= self.base && g < self.base + self.decoded.len() as u64
     }
 }
 
 impl Clone for StreamTrace {
-    /// A rewound cursor over the same file and shard window (scratch is
-    /// not cloned; it refills on first use).
+    /// A rewound cursor over the same file and shard window; it picks up
+    /// decoded chunks from the shared table on first use.
     fn clone(&self) -> Self {
         Self::cursor(Arc::clone(&self.inner), self.spec)
     }
@@ -443,9 +491,10 @@ impl Iterator for StreamTrace {
 impl ExactSizeIterator for StreamTrace {}
 
 impl TraceFeed for StreamTrace {
-    /// Bulk refill: for stride-1 windows this is an `extend_from_slice`
-    /// straight out of the decoded chunk — one bounds check and a
-    /// `memcpy` per chunk crossing instead of a virtual call per record.
+    /// Bulk refill: each pass copies the longest run the decoded chunk
+    /// holds — an `extend_from_slice` (`memcpy`) for stride-1 windows, one
+    /// strided copy otherwise — so the per-record cost is a copy, not a
+    /// residency check and a virtual call.
     fn refill(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
         let mut pushed = 0usize;
         while pushed < max {
@@ -455,23 +504,24 @@ impl TraceFeed for StreamTrace {
             }
             if !self.resident(g) {
                 // The consumer outran the decoded window: this refill
-                // stalls on a chunk read + decode.
+                // stalls on a chunk read + decode (or a shared-table hit).
                 metrics::TRACE_REFILL_STALLS.incr();
                 self.load_chunk_containing(g);
             }
-            let lo = (g - self.base) as usize;
-            if self.stride == 1 {
-                let in_chunk = self.decoded.len() - lo;
-                let want = (max - pushed).min((self.end - g) as usize);
-                let take = in_chunk.min(want);
-                out.extend_from_slice(&self.decoded[lo..lo + take]);
-                pushed += take;
-                self.next_global += take as u64;
+            let stride = self.stride as usize;
+            let run = &self.decoded[(g - self.base) as usize..];
+            let take = run
+                .len()
+                .div_ceil(stride)
+                .min(self.remaining() as usize)
+                .min(max - pushed);
+            if stride == 1 {
+                out.extend_from_slice(&run[..take]);
             } else {
-                out.push(self.decoded[lo]);
-                pushed += 1;
-                self.next_global += self.stride;
+                out.extend(run.iter().step_by(stride).take(take).copied());
             }
+            pushed += take;
+            self.next_global += (take * stride) as u64;
         }
         pushed
     }
@@ -728,6 +778,99 @@ mod tests {
         // read_any still handles v1.
         assert_eq!(read_any(&tmp.0).unwrap(), random_trace(9, 10));
         assert!(StreamTrace::open("/nonexistent/redhip.trace").is_err());
+    }
+
+    /// Chunk decodes performed so far for `s`'s open file.
+    fn decodes(s: &StreamTrace) -> usize {
+        s.inner.chunks.lock().unwrap().decodes
+    }
+
+    /// Decoded chunks some cursor over `s`'s open file still holds.
+    fn live_chunks(s: &StreamTrace) -> usize {
+        let table = s.inner.chunks.lock().unwrap();
+        table.live.iter().filter(|w| w.strong_count() > 0).count()
+    }
+
+    /// Drains `cursor` through 128-record refills.
+    fn drain(mut cursor: StreamTrace) -> Vec<TraceRecord> {
+        let mut out = Vec::new();
+        while cursor.refill(&mut out, 128) > 0 {}
+        out
+    }
+
+    fn interleave(shards: u32, index: u32) -> ShardSpec {
+        ShardSpec::Interleave { shards, index }
+    }
+
+    #[test]
+    fn lockstep_interleave_cursors_share_each_decoded_chunk() {
+        const CORES: u32 = 8;
+        const CHUNK: u32 = 4096;
+        let t = random_trace(11, 40_003);
+        let base = StreamTrace::from_bytes(encode_v2_chunked(&t, CHUNK)).unwrap();
+        let chunks = base.info().chunks as usize;
+        assert!(chunks > 2, "need a multi-chunk file, got {chunks}");
+
+        // Round-robin 128-record refills, the shape the simulator's cores
+        // consume an interleave replay in.
+        let mut cursors: Vec<_> = (0..CORES)
+            .map(|k| base.shard(interleave(CORES, k)))
+            .collect();
+        let mut lockstep = vec![Vec::new(); CORES as usize];
+        let mut active = true;
+        while active {
+            active = false;
+            for (cursor, out) in cursors.iter_mut().zip(&mut lockstep) {
+                active |= cursor.refill(out, 128) > 0;
+                assert!(cursor.resident_records() <= CHUNK as usize);
+                let live = live_chunks(&base);
+                assert!(
+                    live <= CORES as usize,
+                    "{live} chunks live for {CORES} cursors"
+                );
+            }
+        }
+        assert_eq!(decodes(&base), chunks, "each chunk decoded exactly once");
+        drop(cursors);
+        assert_eq!(live_chunks(&base), 0, "chunks outlived their cursors");
+
+        // Draining one cursor after another defeats sharing (each shard
+        // re-decodes the whole file) but yields the same records.
+        let sequential: Vec<_> = (0..CORES)
+            .map(|k| drain(base.shard(interleave(CORES, k))))
+            .collect();
+        assert_eq!(decodes(&base), chunks * (1 + CORES as usize));
+        assert_eq!(sequential, lockstep);
+        for (k, part) in lockstep.iter().enumerate() {
+            let expect: Vec<_> = t.iter().skip(k).step_by(CORES as usize).collect();
+            assert_eq!(*part, expect, "shard {k}");
+        }
+    }
+
+    #[test]
+    fn concurrent_shards_of_one_file_match_single_threaded() {
+        let t = random_trace(12, 20_011);
+        let base = StreamTrace::from_bytes(encode_v2_chunked(&t, 1000)).unwrap();
+        let single: Vec<_> = (0..2)
+            .map(|k| drain(base.shard(interleave(2, k))))
+            .collect();
+        // The barrier starts both drains together, so they contend for
+        // the shared chunk table over the whole file.
+        let start = std::sync::Barrier::new(2);
+        let threaded: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|k| {
+                    let cursor = base.shard(interleave(2, k));
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        drain(cursor)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(threaded, single);
     }
 
     #[test]

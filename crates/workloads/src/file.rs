@@ -75,8 +75,10 @@ impl FileMode {
     }
 }
 
-/// An open trace file registered as a workload. Cheap to share: cursors
-/// handed to cores borrow one underlying mapping.
+/// An open trace file registered as a workload. Cheap to share: the
+/// cursors handed to cores share one underlying mapping and each decoded
+/// chunk, so cores (or concurrent sweep cells) replaying the file
+/// together decode each chunk once.
 #[derive(Debug)]
 pub struct TraceFileWorkload {
     base: StreamTrace,
