@@ -59,25 +59,6 @@ fn observers() {
         );
         run_traces_with(&cfg, t, obs)
     });
-    // The parallel engine's commit-log replay path: observer events are
-    // buffered per quantum and replayed in sequential weave order, so the
-    // collector sees the same stream as the rows above.
-    let par4 = sim::IntraOptions::with_jobs(4);
-    g.bench_with_setup("redhip_par4_replay_collector", traces, |t| {
-        sim::run_traces_par_with(&cfg, t, &par4, WindowedCollector::new(1_000, levels))
-    });
-    // Registry overhead pair on the instrumented parallel path: disabled
-    // must match the row above within noise (every record site is one
-    // relaxed load and a branch).
-    metrics::disable();
-    g.bench_with_setup("redhip_par4_registry_disabled", traces, |t| {
-        sim::run_traces_par(&cfg, t, &par4)
-    });
-    metrics::enable();
-    g.bench_with_setup("redhip_par4_registry_enabled", traces, |t| {
-        sim::run_traces_par(&cfg, t, &par4)
-    });
-    metrics::disable();
 }
 
 fn prefetch_overhead() {

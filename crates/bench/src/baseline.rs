@@ -169,87 +169,6 @@ pub fn measure(opts: &BenchOptions) -> Json {
         })
     };
 
-    // Intra-run parallel aggregate (PR 8+): one ReDHiP cell through the
-    // production entry point at several --intra-jobs settings. Results
-    // are byte-identical at every setting (the bound-weave engine's
-    // contract); only throughput varies, and only with host cores —
-    // `host_cores` is recorded so a flat curve on a small machine reads
-    // as what it is.
-    let parallel = {
-        let cfg = config(Mechanism::Redhip, opts.refs_per_core);
-        let host_cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut points = Vec::new();
-        for intra in [1usize, 2, 4, 8] {
-            let io = sim::IntraOptions::with_jobs(intra);
-            let mut best = f64::INFINITY;
-            for _ in 0..opts.samples.max(1) {
-                let traces: Vec<CoreTrace> = (0..cores)
-                    .map(|c| opts.benchmark.trace(c, Scale::Smoke))
-                    .collect();
-                let start = Instant::now();
-                let r = sim::run_traces_par(&cfg, traces, &io);
-                let took = start.elapsed().as_secs_f64();
-                assert_eq!(r.total_refs(), total_refs, "parallel run was truncated");
-                best = best.min(took);
-            }
-            points.push(json!({
-                "intra_jobs": intra as u64,
-                "refs_per_sec": total_refs as f64 / best,
-            }));
-        }
-        json!({
-            "mechanism": "Redhip",
-            "host_cores": host_cores as u64,
-            "points": Json::Arr(points),
-        })
-    };
-
-    // Observability aggregate (PR 9+): the parallel engine's observer
-    // replay path (collector attached, commit-log events replayed in
-    // sequential weave order) and the same run with the metrics registry
-    // recording. Both should track par@4 closely; a gap is the overhead
-    // this PR's acceptance criteria bound.
-    let metrics_section = {
-        let cfg = config(Mechanism::Redhip, opts.refs_per_core);
-        let io = sim::IntraOptions::with_jobs(4);
-        let levels = cfg.platform.levels.len();
-        let mut best_replay = f64::INFINITY;
-        for _ in 0..opts.samples.max(1) {
-            let traces: Vec<CoreTrace> = (0..cores)
-                .map(|c| opts.benchmark.trace(c, Scale::Smoke))
-                .collect();
-            let obs = telemetry::WindowedCollector::new(1_000, levels);
-            let start = Instant::now();
-            let (r, _) = sim::run_traces_par_with(&cfg, traces, &io, obs);
-            let took = start.elapsed().as_secs_f64();
-            assert_eq!(r.total_refs(), total_refs, "replay run was truncated");
-            best_replay = best_replay.min(took);
-        }
-        let was_enabled = metrics::enabled();
-        metrics::enable();
-        let mut best_registry = f64::INFINITY;
-        for _ in 0..opts.samples.max(1) {
-            let traces: Vec<CoreTrace> = (0..cores)
-                .map(|c| opts.benchmark.trace(c, Scale::Smoke))
-                .collect();
-            let start = Instant::now();
-            let r = sim::run_traces_par(&cfg, traces, &io);
-            let took = start.elapsed().as_secs_f64();
-            assert_eq!(r.total_refs(), total_refs, "registry run was truncated");
-            best_registry = best_registry.min(took);
-        }
-        if !was_enabled {
-            metrics::disable();
-        }
-        json!({
-            "intra_jobs": 4u64,
-            "observer_replay_refs_per_sec": total_refs as f64 / best_replay,
-            "registry_refs_per_sec": total_refs as f64 / best_registry,
-        })
-    };
-
     json!({
         "schema": SCHEMA,
         "benchmark": opts.benchmark.to_string(),
@@ -267,30 +186,7 @@ pub fn measure(opts: &BenchOptions) -> Json {
             "refs_per_sec": sweep_refs as f64 / best_sweep,
         }),
         "trace": trace,
-        "parallel": parallel,
-        "metrics": metrics_section,
     })
-}
-
-/// A metric from the observability section, if recorded (PR 9+).
-fn metrics_metric(doc: &Json, key: &str) -> Option<f64> {
-    doc.get("metrics")?.f64_of(key).ok()
-}
-
-/// The intra-run scaling points of a snapshot, if recorded (PR 8+):
-/// `(intra_jobs, refs_per_sec)` pairs in recorded order.
-fn parallel_points(doc: &Json) -> Option<Vec<(u64, f64)>> {
-    let pts = doc.get("parallel")?.get("points")?.as_array()?;
-    Some(
-        pts.iter()
-            .filter_map(|p| {
-                Some((
-                    p.get("intra_jobs")?.as_u64()?,
-                    p.f64_of("refs_per_sec").ok()?,
-                ))
-            })
-            .collect(),
-    )
 }
 
 /// Aggregate sweep throughput of a snapshot, if recorded (PR 6+).
@@ -335,23 +231,6 @@ pub fn render(doc: &Json) -> String {
         let drps = trace_metric(doc, "decode_records_per_sec").unwrap_or(0.0);
         let _ = writeln!(out, "{:<10} {drps:>14.0}  ({gbs:.2} GB/s)", "decode");
         let _ = writeln!(out, "{:<10} {rps:>14.0}", "replay");
-    }
-    if let Some(points) = parallel_points(doc) {
-        let host = doc
-            .get("parallel")
-            .and_then(|p| p.get("host_cores"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        for (intra, rps) in points {
-            let label = format!("par@{intra}");
-            let _ = writeln!(out, "{label:<10} {rps:>14.0}  ({host} host core(s))");
-        }
-    }
-    if let Some(rps) = metrics_metric(doc, "observer_replay_refs_per_sec") {
-        let _ = writeln!(out, "{:<10} {rps:>14.0}", "obs-replay");
-    }
-    if let Some(rps) = metrics_metric(doc, "registry_refs_per_sec") {
-        let _ = writeln!(out, "{:<10} {rps:>14.0}", "registry");
     }
     out
 }
@@ -405,35 +284,6 @@ pub fn compare(old: &Json, new: &Json) -> String {
                 let _ = writeln!(out, "{label:<10} {:>14} {b:>14.0}", "-");
             }
             _ => {}
-        }
-    }
-    // Observability rows likewise (absent from pre-PR9 snapshots).
-    for (label, key) in [
-        ("obs-replay", "observer_replay_refs_per_sec"),
-        ("registry", "registry_refs_per_sec"),
-    ] {
-        match (metrics_metric(old, key), metrics_metric(new, key)) {
-            (Some(a), Some(b)) => {
-                let _ = writeln!(out, "{label:<10} {a:>14.0} {b:>14.0} {:>7.2}x", b / a);
-            }
-            (None, Some(b)) => {
-                let _ = writeln!(out, "{label:<10} {:>14} {b:>14.0}", "-");
-            }
-            _ => {}
-        }
-    }
-    // Intra-run scaling rows likewise (absent from pre-PR8 snapshots).
-    let new_pts = parallel_points(new).unwrap_or_default();
-    let old_pts = parallel_points(old).unwrap_or_default();
-    for (intra, b) in new_pts {
-        let label = format!("par@{intra}");
-        match old_pts.iter().find(|(i, _)| *i == intra) {
-            Some((_, a)) => {
-                let _ = writeln!(out, "{label:<10} {a:>14.0} {b:>14.0} {:>7.2}x", b / a);
-            }
-            None => {
-                let _ = writeln!(out, "{label:<10} {:>14} {b:>14.0}", "-");
-            }
         }
     }
     if n > 0 {
@@ -503,55 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_records_parallel_scaling() {
-        let doc = tiny();
-        let points = parallel_points(&doc).expect("parallel section present");
-        assert_eq!(
-            points.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            vec![1, 2, 4, 8]
-        );
-        assert!(points.iter().all(|&(_, rps)| rps > 0.0));
-        let table = render(&doc);
-        assert!(table.contains("par@8"), "{table}");
-    }
-
-    #[test]
-    fn compare_tolerates_missing_parallel_section() {
-        let new = tiny();
-        // A pre-PR8 snapshot: same document minus the parallel section.
-        let mut old = new.clone();
-        old.set("parallel", Json::Null);
-        let table = compare(&old, &new);
-        assert!(table.contains("geomean speedup: 1.00x"), "{table}");
-        assert!(table.contains("par@8"), "{table}");
-    }
-
-    #[test]
-    fn snapshot_records_observability_aggregate() {
-        let doc = tiny();
-        let replay = metrics_metric(&doc, "observer_replay_refs_per_sec").expect("metrics section");
-        let registry = metrics_metric(&doc, "registry_refs_per_sec").expect("metrics section");
-        assert!(replay > 0.0 && registry > 0.0);
-        let table = render(&doc);
-        assert!(
-            table.contains("obs-replay") && table.contains("registry"),
-            "{table}"
-        );
-    }
-
-    #[test]
-    fn compare_tolerates_missing_metrics_section() {
-        let new = tiny();
-        // A pre-PR9 snapshot: same document minus the metrics section.
-        let mut old = new.clone();
-        old.set("metrics", Json::Null);
-        let table = compare(&old, &new);
-        assert!(table.contains("geomean speedup: 1.00x"), "{table}");
-        assert!(table.contains("obs-replay"), "{table}");
-        assert!(table.contains("registry"), "{table}");
-    }
-
-    #[test]
     fn compare_tolerates_missing_trace_section() {
         let new = tiny();
         let mut old = new.clone();
@@ -570,6 +371,31 @@ mod tests {
         let table = compare(&old, &new);
         assert!(table.contains("geomean speedup: 1.00x"), "{table}");
         assert!(table.contains("sweep"), "{table}");
+    }
+
+    #[test]
+    fn compare_accepts_every_committed_snapshot() {
+        // The committed snapshots span every schema addition and carry
+        // sections this reader skips (`parallel`, `metrics`); each one
+        // must still compare and render.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let load = |p: &std::path::Path| {
+            minijson::parse(&std::fs::read_to_string(p).expect("read snapshot")).expect("parse")
+        };
+        let base = load(&root.join("BENCH_baseline.json"));
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&root).expect("repo root") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let doc = load(&path);
+                let table = compare(&base, &doc);
+                assert!(table.contains("geomean speedup"), "{name}: {table}");
+                assert!(render(&doc).contains("Base"), "{name}");
+                seen += 1;
+            }
+        }
+        assert!(seen >= 2, "no committed snapshots found");
     }
 
     #[test]

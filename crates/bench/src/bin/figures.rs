@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! figures [TARGETS...] [--scale smoke|demo|paper] [--refs N] [--out DIR]
-//!         [--jobs N] [--intra-jobs N] [--cache] [--cache-dir DIR]
+//!         [--jobs N] [--cache] [--cache-dir DIR]
 //!         [--metrics[=FILE]]
 //!
 //! TARGETS: all (default) | table1 | fig1 | fig6..fig15 | core (fig6-10)
@@ -20,10 +20,7 @@
 //!
 //! Text renders to stdout and is mirrored to `DIR/figures.log`;
 //! structured results land in `DIR/<name>.json` (default `results/`) —
-//! no shell redirection into the repo root needed. `--intra-jobs N`
-//! additionally parallelizes *inside* each cell (the deterministic
-//! bound–weave engine; output is byte-identical), trading sweep-level for
-//! intra-run workers under one `jobs x intra_jobs <= cores` budget.
+//! no shell redirection into the repo root needed.
 
 use bench::figures::{self, FigureOutput, Settings};
 use bench::harness::FigureScale;
@@ -36,7 +33,7 @@ use sweep::{default_jobs, ResultCache, SweepEngine, SweepPlan};
 fn usage() -> ! {
     eprintln!(
         "usage: figures [all|core|sweeps|prefetch|ablations|shootout|table1|fig1|fig6..fig15]... \
-         [--scale smoke|demo|paper] [--refs N] [--out DIR] [--jobs N] [--intra-jobs N] \
+         [--scale smoke|demo|paper] [--refs N] [--out DIR] [--jobs N] \
          [--cache] [--cache-dir DIR] [--metrics[=FILE]]"
     );
     std::process::exit(2);
@@ -48,7 +45,6 @@ struct Args {
     refs: Option<usize>,
     out: PathBuf,
     jobs: Option<usize>,
-    intra_jobs: usize,
     cache_dir: Option<PathBuf>,
     /// Where to write the `redhip-metrics/v1` snapshot; `None` leaves the
     /// registry disabled.
@@ -69,7 +65,6 @@ fn parse_args() -> Args {
     let mut refs = None;
     let mut out = PathBuf::from("results");
     let mut jobs = None;
-    let mut intra_jobs = 1usize;
     let mut cache = false;
     let mut cache_dir = None;
     // None = disabled, Some(None) = default path (<out>/metrics.jsonl).
@@ -95,13 +90,6 @@ fn parse_args() -> Args {
                     usage();
                 }
                 jobs = Some(n);
-            }
-            "--intra-jobs" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                intra_jobs = v.parse().unwrap_or_else(|_| usage());
-                if intra_jobs == 0 {
-                    usage();
-                }
             }
             "--cache" => cache = true,
             "--cache-dir" => {
@@ -144,7 +132,6 @@ fn parse_args() -> Args {
         refs,
         out,
         jobs,
-        intra_jobs,
         cache_dir,
         metrics,
     }
@@ -199,11 +186,6 @@ fn run_manifest(args: &Args, settings: &Settings, plan: &SweepPlan) -> metrics::
         workload,
         seed: format!("synth(core,{:?}):refs={}", args.scale, settings.refs),
         config_hash,
-        sequential_fallback: args.intra_jobs > 1
-            && plan
-                .cells()
-                .iter()
-                .any(|c| !sim::parallel_supported(&c.cfg)),
     }
 }
 
@@ -215,12 +197,11 @@ fn main() {
     std::fs::create_dir_all(&args.out).expect("create results dir");
     std::fs::write(args.log_path(), "").expect("truncate figures.log");
     eprintln!(
-        "[figures] scale={:?} refs/core={} workloads={} jobs={} intra_jobs={} targets={:?}",
+        "[figures] scale={:?} refs/core={} workloads={} jobs={} targets={:?}",
         args.scale,
         settings.refs,
         settings.workloads.len(),
         jobs,
-        args.intra_jobs,
         args.targets
     );
     let t0 = std::time::Instant::now();
@@ -275,7 +256,7 @@ fn main() {
     }
 
     // Phase 2: one engine, one run over the whole deduplicated job graph.
-    let mut engine = SweepEngine::new(jobs).with_intra_jobs(args.intra_jobs);
+    let mut engine = SweepEngine::new(jobs);
     if let Some(dir) = &args.cache_dir {
         eprintln!("[figures] result cache: {}", dir.display());
         engine = engine.with_cache(ResultCache::with_disk(dir.clone()));

@@ -16,20 +16,10 @@
 //!   --pt-bytes N         prediction-table size override
 //!   --recalib N          recalibration period in L1 misses (0 = never)
 //!   --prefetch           enable the stride prefetcher
-//!   --intra-jobs N       worker threads *inside* the run (deterministic
-//!                        bound-weave engine; results are byte-identical
-//!                        at every N; default 1 = sequential scheduler).
-//!                        Configurations outside the engine's envelope
-//!                        (non-grid CPIs, prefetch) run sequentially with
-//!                        a stderr note, and the run manifest records
-//!                        `sequential_fallback: true`.
 //!   --compare            also run Base and print the comparison
 //!   --json FILE          write the RunResult as JSON
 //!   --telemetry FILE     write windowed time-series telemetry as JSONL
-//!                        (window samples + recalibration markers); works
-//!                        at any --intra-jobs — the parallel engine
-//!                        replays observer events in exact sequential
-//!                        order, so the JSONL is byte-identical at every N
+//!                        (window samples + recalibration markers)
 //!   --window N           telemetry window width in refs per core
 //!                        (default 100000)
 //!   --metrics[=FILE]     enable the process metrics registry and write a
@@ -60,10 +50,7 @@
 //!   redhip-sim trace replay   stream a trace file through the simulator
 //! ```
 
-use bench::harness::{
-    mechanism_config, run_workload, run_workload_par, run_workload_par_with, run_workload_with,
-    FigureScale,
-};
+use bench::harness::{mechanism_config, run_workload, run_workload_with, FigureScale};
 use cache_sim::InclusionPolicy;
 use minijson::ToJson;
 use sim::{Comparison, Heartbeat, HeartbeatObserver, Mechanism, RunResult, Tee, WindowedCollector};
@@ -94,7 +81,6 @@ fn main() {
     let mut pt_bytes = None;
     let mut recalib: Option<Option<u64>> = None;
     let mut prefetch = false;
-    let mut intra_jobs = 1usize;
     let mut compare = false;
     let mut json_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
@@ -157,14 +143,6 @@ fn main() {
                 recalib = Some(if v == 0 { None } else { Some(v) });
             }
             "--prefetch" => prefetch = true,
-            "--intra-jobs" => {
-                intra_jobs = next("--intra-jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --intra-jobs"));
-                if intra_jobs == 0 {
-                    usage("--intra-jobs must be positive");
-                }
-            }
             "--compare" => compare = true,
             "--json" => json_path = Some(next("--json")),
             "--telemetry" => telemetry_path = Some(next("--telemetry")),
@@ -286,67 +264,11 @@ fn main() {
         HeartbeatObserver::new(if quiet { h.silent() } else { h })
     };
 
-    // True when --intra-jobs > 1 was requested but the configuration is
-    // outside the parallel envelope; recorded in the run manifest.
-    let mut sequential_fallback = false;
-
-    // The whole run counts as the simulate phase (weave/redo/merge nest
-    // inside it when the parallel engine runs).
+    // The whole run counts as the simulate phase.
     let sim_span = metrics::PHASE_SIMULATE.start();
 
     // Telemetry wants a collector; the heartbeat rides along either way.
-    let result: RunResult = if intra_jobs > 1 {
-        // The envelope must be judged on the config the run actually uses:
-        // run_workload_par stamps the benchmark's CPI before simulating.
-        let stamped = {
-            let mut c = cfg.clone();
-            c.avg_cpi = benchmark.avg_cpi();
-            c
-        };
-        if !sim::parallel_supported(&stamped) {
-            sequential_fallback = true;
-            eprintln!(
-                "[redhip-sim] note: configuration outside the parallel envelope; running sequentially"
-            );
-        }
-        if let Some(path) = &telemetry_path {
-            // The parallel engine replays observer events in exact
-            // sequential weave order, so the collector (and heartbeat)
-            // see the same stream as --intra-jobs 1.
-            let opts = sim::IntraOptions {
-                jobs: intra_jobs,
-                ..Default::default()
-            };
-            let collector = WindowedCollector::new(window, cfg.platform.levels.len());
-            let obs = Tee::new(collector, heartbeat());
-            let (result, obs) = run_workload_par_with(&cfg, benchmark, scale, &opts, obs);
-            std::fs::write(path, obs.a.to_jsonl()).expect("write telemetry");
-            eprintln!(
-                "[redhip-sim] wrote {path} ({} windows, {} recalibration markers)",
-                obs.a.windows().count(),
-                obs.a.recalibrations().count()
-            );
-            result
-        } else {
-            let hb = std::cell::RefCell::new({
-                let h = Heartbeat::new("[redhip-sim]", "refs", total_refs);
-                if quiet {
-                    h.silent()
-                } else {
-                    h
-                }
-            });
-            let progress = |done: u64| hb.borrow_mut().set_done(done);
-            let opts = sim::IntraOptions {
-                jobs: intra_jobs,
-                progress: Some(&progress),
-                ..Default::default()
-            };
-            let r = run_workload_par(&cfg, benchmark, scale, &opts);
-            hb.borrow_mut().finish();
-            r
-        }
-    } else if let Some(path) = &telemetry_path {
+    let result: RunResult = if let Some(path) = &telemetry_path {
         let collector = WindowedCollector::new(window, cfg.platform.levels.len());
         let obs = Tee::new(collector, heartbeat());
         let (result, obs) = run_workload_with(&cfg, benchmark, scale, obs);
@@ -388,11 +310,8 @@ fn main() {
 
     if let Some(path) = metrics_path {
         // The run manifest reuses the sweep cell's canonical identity for
-        // this (config x benchmark x scale), overriding the fallback flag
-        // with what this invocation actually did (the cell derives it from
-        // the envelope alone, not from whether parallelism was requested).
-        let mut manifest = sweep::CellSpec::new(&cfg, benchmark, scale.workload_scale()).manifest();
-        manifest.sequential_fallback = sequential_fallback;
+        // this (config x benchmark x scale).
+        let manifest = sweep::CellSpec::new(&cfg, benchmark, scale.workload_scale()).manifest();
         let mut out = metrics::snapshot_jsonl();
         out.push_str(&manifest.to_json_with_phases().dump());
         out.push('\n');

@@ -321,16 +321,9 @@ pub fn fig8(m: &Matrix) -> FigureOutput {
 pub fn shootout(m: &Matrix) -> FigureOutput {
     let (t_speed, speedup) = series_table(m, |c| c.speedup(), TextTable::pct);
     let (t_energy, dynamic) = series_table(m, |c| c.dynamic_ratio(), TextTable::ratio);
-    let envelope: Vec<bool> = m
-        .mechanisms
-        .iter()
-        .map(|&x| sim::registry_info(x).parallel_envelope)
-        .collect();
     let text = format!(
         "Predictor shoot-out: speedup over Base (positive = faster)\n{}\n\
-         Predictor shoot-out: dynamic cache energy normalized to Base (lower = better)\n{}\n\
-         registry contenders (LevelPred/Perceptron/WayMemo) run outside the\n\
-         parallel envelope: --intra-jobs > 1 takes the sequential fallback\n",
+         Predictor shoot-out: dynamic cache energy normalized to Base (lower = better)\n{}\n",
         t_speed.render(),
         t_energy.render()
     );
@@ -340,7 +333,6 @@ pub fn shootout(m: &Matrix) -> FigureOutput {
         json: json!({
             "speedup": matrix_json(m, &speedup, "speedup"),
             "dynamic_ratio": matrix_json(m, &dynamic, "dynamic_ratio"),
-            "parallel_envelope": envelope,
         }),
         text,
     }
@@ -839,13 +831,8 @@ mod tests {
         for mech in SHOOTOUT {
             assert!(f.text.contains(mech.name()), "{} missing", mech.name());
         }
-        assert!(f.text.contains("sequential fallback"));
         assert_eq!(
             f.json["speedup"]["mechanisms"].as_array().unwrap().len(),
-            SHOOTOUT.len()
-        );
-        assert_eq!(
-            f.json["parallel_envelope"].as_array().unwrap().len(),
             SHOOTOUT.len()
         );
     }

@@ -80,46 +80,6 @@ pub fn run_workload(cfg: &SimConfig, benchmark: Benchmark, scale: FigureScale) -
     run_traces(&cfg, traces)
 }
 
-/// Like [`run_workload`], but runs the deterministic bound–weave engine
-/// with `opts.jobs` intra-run worker threads (see [`sim::parallel`]).
-/// Byte-identical to [`run_workload`] at every thread count; falls back
-/// to the sequential scheduler outside the engine's envelope.
-pub fn run_workload_par(
-    cfg: &SimConfig,
-    benchmark: Benchmark,
-    scale: FigureScale,
-    opts: &sim::IntraOptions,
-) -> RunResult {
-    let mut cfg = cfg.clone();
-    cfg.avg_cpi = benchmark.avg_cpi();
-    let ws = scale.workload_scale();
-    let traces = (0..cfg.platform.cores)
-        .map(|core| benchmark.trace(core, ws))
-        .collect();
-    sim::run_traces_par(&cfg, traces, opts)
-}
-
-/// Like [`run_workload_par`], but reports telemetry to `obs` while
-/// running: the bound–weave engine buffers observer events in the commit
-/// log and replays them in exact sequential `(clock, core)` weave order,
-/// so collector output is byte-identical to [`run_workload_with`] at
-/// every thread count.
-pub fn run_workload_par_with<O: SimObserver>(
-    cfg: &SimConfig,
-    benchmark: Benchmark,
-    scale: FigureScale,
-    opts: &sim::IntraOptions,
-    obs: O,
-) -> (RunResult, O) {
-    let mut cfg = cfg.clone();
-    cfg.avg_cpi = benchmark.avg_cpi();
-    let ws = scale.workload_scale();
-    let traces = (0..cfg.platform.cores)
-        .map(|core| benchmark.trace(core, ws))
-        .collect();
-    sim::run_traces_par_with(&cfg, traces, opts, obs)
-}
-
 /// Like [`run_workload`], but reports telemetry to `obs` while running.
 pub fn run_workload_with<O: SimObserver>(
     cfg: &SimConfig,
@@ -191,7 +151,7 @@ where
         (0..n).map(|_| std::sync::Mutex::new(None)).collect();
     let order: Vec<usize> = (0..n).collect();
     let ticks = std::sync::atomic::AtomicU64::new(0);
-    sweep::pool::run_ordered(
+    pool::run_ordered(
         threads,
         &order,
         &ticks,

@@ -30,8 +30,6 @@
 //!       --refs N        references per core             (default: shard len)
 //!       --cpi X         CPI charged for gap instructions (default 1.5)
 //!       --buffered      positioned reads instead of mmap
-//!       --intra-jobs N  worker threads inside the run (deterministic
-//!                       bound-weave engine; byte-identical at every N)
 //!       --json FILE     write the RunResult as JSON
 //!       --quiet         suppress the stderr heartbeat
 //! ```
@@ -296,7 +294,6 @@ fn replay(args: Vec<String>) {
     let mut refs: Option<usize> = None;
     let mut cpi: Option<f64> = None;
     let mut buffered = false;
-    let mut intra_jobs = 1usize;
     let mut json_path: Option<String> = None;
     let mut quiet = false;
     let mut f = Flags::new(args);
@@ -320,12 +317,6 @@ fn replay(args: Vec<String>) {
             "--refs" => refs = Some(f.parse("--refs")),
             "--cpi" => cpi = Some(f.parse("--cpi")),
             "--buffered" => buffered = true,
-            "--intra-jobs" => {
-                intra_jobs = f.parse("--intra-jobs");
-                if intra_jobs == 0 {
-                    usage("--intra-jobs must be positive");
-                }
-            }
             "--json" => json_path = Some(f.value("--json")),
             "--quiet" | "-q" => quiet = true,
             other => usage(&format!("unknown argument {other}")),
@@ -369,29 +360,7 @@ fn replay(args: Vec<String>) {
     let feeds: Vec<CoreFeed> = (0..cores)
         .map(|core| Box::new(workload.feed(core, cores)) as CoreFeed)
         .collect();
-    let result = if intra_jobs > 1 {
-        if !sim::parallel_supported(&cfg) {
-            eprintln!("[trace replay] note: configuration outside the parallel envelope; running sequentially");
-        }
-        let total = (cfg.refs_per_core * cores) as u64;
-        let hb = std::cell::RefCell::new({
-            let h = telemetry::Heartbeat::new("[trace replay]", "refs", total);
-            if quiet {
-                h.silent()
-            } else {
-                h
-            }
-        });
-        let progress = |done: u64| hb.borrow_mut().set_done(done);
-        let opts = sim::IntraOptions {
-            jobs: intra_jobs,
-            progress: Some(&progress),
-            ..Default::default()
-        };
-        let r = sim::run_feeds_par(&cfg, feeds, &opts);
-        hb.borrow_mut().finish();
-        r
-    } else if quiet {
+    let result = if quiet {
         sim::run_feeds(&cfg, feeds)
     } else {
         let total = (cfg.refs_per_core * cores) as u64;

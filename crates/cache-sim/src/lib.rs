@@ -27,7 +27,6 @@ pub mod geometry;
 pub mod hierarchy;
 pub mod inline_vec;
 pub mod replacement;
-pub mod split;
 pub mod traversal;
 
 pub use cache::{Cache, Evicted};

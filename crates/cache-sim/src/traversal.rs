@@ -187,23 +187,6 @@ impl HierarchyStats {
     pub fn count_invalidation(&mut self, level: LevelId) {
         self.levels[level as usize].invalidations += 1;
     }
-
-    /// Adds every counter of `other` into `self`. The counters are plain
-    /// sums over events, so per-thread deltas merged in any order
-    /// reproduce the totals a single sequential accumulator would hold.
-    pub fn merge(&mut self, other: &HierarchyStats) {
-        debug_assert_eq!(self.levels.len(), other.levels.len());
-        for (s, o) in self.levels.iter_mut().zip(&other.levels) {
-            s.lookups += o.lookups;
-            s.hits += o.hits;
-            s.fills += o.fills;
-            s.evictions += o.evictions;
-            s.writebacks_in += o.writebacks_in;
-            s.invalidations += o.invalidations;
-        }
-        self.memory_writebacks += other.memory_writebacks;
-        self.memory_fetches += other.memory_fetches;
-    }
 }
 
 impl minijson::ToJson for HierarchyStats {

@@ -5,8 +5,8 @@
 //! Everything is `std`-only and allocation-free on the record path. All
 //! metrics are defined *centrally* in this crate as `static` items (see
 //! the "registry" section below), so instrumented crates — the worker
-//! pool, the sweep engine, trace ingestion, the parallel simulation
-//! engine — just call e.g. `metrics::POOL_STEALS.incr()` without any
+//! pool, the sweep engine, trace ingestion, the predictor registry —
+//! just call e.g. `metrics::POOL_STEALS.incr()` without any
 //! registration protocol, and the snapshot writer can enumerate every
 //! metric from one table.
 //!
@@ -305,23 +305,10 @@ pub static PRED_MISPREDICTS: Counter = Counter::new("pred.mispredicts");
 /// L1 hits whose tag-way reads were skipped by a memo (WayMemo).
 pub static PRED_MEMO_SKIPS: Counter = Counter::new("pred.memo_skips");
 
-/// Bound–weave quanta (scheduler rounds) executed.
-pub static PAR_QUANTA: Counter = Counter::new("par.quanta");
-/// Epoch rollbacks triggered by cross-core LLC-victim conflicts.
-pub static PAR_ROLLBACKS: Counter = Counter::new("par.rollbacks");
-/// References replayed sequentially inside rollback redo passes.
-pub static PAR_REDO_REFS: Counter = Counter::new("par.redo_refs");
-
 /// Sweep planning (building the deduped job graph).
 pub static PHASE_PLAN: Timer = Timer::new("phase.plan");
 /// Simulation proper (the pool running cells, or a single run).
 pub static PHASE_SIMULATE: Timer = Timer::new("phase.simulate");
-/// Main-thread weave: committing shared-level events in global order.
-pub static PHASE_WEAVE: Timer = Timer::new("phase.weave");
-/// Rollback redo: exact sequential replay after a conflict.
-pub static PHASE_REDO: Timer = Timer::new("phase.redo");
-/// Merging per-core results into the final aggregate.
-pub static PHASE_MERGE: Timer = Timer::new("phase.merge");
 /// Rendering figures/tables from simulated results.
 pub static PHASE_RENDER: Timer = Timer::new("phase.render");
 
@@ -351,14 +338,8 @@ fn registry() -> Vec<Metric> {
         C(&PRED_STEERED),
         C(&PRED_MISPREDICTS),
         C(&PRED_MEMO_SKIPS),
-        C(&PAR_QUANTA),
-        C(&PAR_ROLLBACKS),
-        C(&PAR_REDO_REFS),
         T(&PHASE_PLAN),
         T(&PHASE_SIMULATE),
-        T(&PHASE_WEAVE),
-        T(&PHASE_REDO),
-        T(&PHASE_MERGE),
         T(&PHASE_RENDER),
     ]
 }
@@ -460,9 +441,6 @@ pub fn phase_timings_json() -> Json {
     json!({
         "plan_s": PHASE_PLAN.secs(),
         "simulate_s": PHASE_SIMULATE.secs(),
-        "weave_s": PHASE_WEAVE.secs(),
-        "redo_s": PHASE_REDO.secs(),
-        "merge_s": PHASE_MERGE.secs(),
         "render_s": PHASE_RENDER.secs(),
     })
 }
@@ -475,7 +453,7 @@ pub fn phase_timings_json() -> Json {
 ///
 /// * **Diffed artifacts** (result-cache entries, figure outputs) embed
 ///   [`RunManifest::to_json`], which carries *only* fields that are
-///   byte-identical across `--jobs`/`--intra-jobs` settings and across
+///   byte-identical across `--jobs` settings and across
 ///   machines — the repo's determinism guarantees extend to them.
 /// * **`--metrics` output** uses [`RunManifest::to_json_with_phases`],
 ///   which additionally carries the wall-clock phase-timing breakdown
@@ -496,9 +474,6 @@ pub struct RunManifest {
     pub seed: String,
     /// FNV-1a hash of the canonical configuration key.
     pub config_hash: u64,
-    /// True when `--intra-jobs > 1` was requested but the configuration
-    /// fell outside the parallel envelope and ran sequentially.
-    pub sequential_fallback: bool,
 }
 
 impl RunManifest {
@@ -512,7 +487,6 @@ impl RunManifest {
             "workload": &self.workload,
             "seed": &self.seed,
             "config_hash": format!("{:016x}", self.config_hash),
-            "sequential_fallback": self.sequential_fallback,
         })
     }
 
@@ -536,9 +510,18 @@ mod tests {
 
     // The registry is process-global and tests run on parallel threads,
     // so every assertion is a before/after delta and nothing resets it.
+    // The on/off flag is global too: a test that records holds this lock,
+    // so `counters_are_inert_until_enabled` cannot switch the registry off
+    // under it.
+    static FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn hold_flag() -> std::sync::MutexGuard<'static, ()> {
+        FLAG.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn counters_are_inert_until_enabled() {
+        let _flag = hold_flag();
         static C: Counter = Counter::new("test.inert");
         disable();
         C.add(5);
@@ -551,6 +534,7 @@ mod tests {
 
     #[test]
     fn gauge_tracks_high_water() {
+        let _flag = hold_flag();
         static G: Gauge = Gauge::new("test.gauge");
         enable();
         G.set(7);
@@ -561,6 +545,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_bit_length() {
+        let _flag = hold_flag();
         static H: Histogram = Histogram::new("test.hist");
         enable();
         let before = H.count();
@@ -576,6 +561,7 @@ mod tests {
 
     #[test]
     fn timer_spans_accumulate() {
+        let _flag = hold_flag();
         static T: Timer = Timer::new("test.timer");
         enable();
         let (n0, c0) = (T.nanos(), T.count());
@@ -590,6 +576,7 @@ mod tests {
 
     #[test]
     fn snapshot_first_line_carries_schema() {
+        let _flag = hold_flag();
         enable();
         POOL_STEALS.incr();
         let snap = snapshot_jsonl();
@@ -618,18 +605,16 @@ mod tests {
             workload: "mcf".into(),
             seed: "synth:mcf/demo".into(),
             config_hash: 0xdead_beef,
-            sequential_fallback: true,
         };
         let v = m.to_json();
         assert_eq!(v.str_of("schema").unwrap(), MANIFEST_SCHEMA);
         assert_eq!(v.str_of("config_hash").unwrap(), "00000000deadbeef");
-        assert!(v.bool_of("sequential_fallback").unwrap());
         assert!(
             v.get("phases").is_none(),
             "identity form carries no timings"
         );
         let p = m.to_json_with_phases();
         assert!(p.get("phases").is_some());
-        assert!(p["phases"].f64_of("weave_s").is_ok());
+        assert!(p["phases"].f64_of("simulate_s").is_ok());
     }
 }

@@ -79,6 +79,23 @@ impl Default for CbfParams {
     }
 }
 
+impl CbfParams {
+    /// Checks the knobs against what the filter can be built with: 1 to 8
+    /// bits per counter and at least one hash function.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if !(1..=8).contains(&self.counter_bits) {
+            return Err(format!(
+                "`bits` for `cbf` must be in 1..=8 (got {})",
+                self.counter_bits
+            ));
+        }
+        if self.num_hashes == 0 {
+            return Err("`hashes` for `cbf` must be at least 1 (got 0)".into());
+        }
+        Ok(())
+    }
+}
+
 /// LevelPred design knobs (used when `mechanism == LevelPred`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelPredParams {
@@ -253,6 +270,40 @@ impl SimConfig {
         }
         if self.prefetch.is_some() && self.policy != InclusionPolicy::Inclusive {
             return Err("prefetching is modelled for the inclusive hierarchy only".into());
+        }
+        let pt_bytes = self.effective_pt_bytes();
+        match (self.mechanism, self.policy) {
+            (Mechanism::Cbf, _) => {
+                self.cbf.check()?;
+                if pt_bytes.saturating_mul(8) / u64::from(self.cbf.counter_bits) < 2 {
+                    return Err(format!(
+                        "a {pt_bytes}-byte predictor budget holds fewer than 2 {}-bit CBF counters",
+                        self.cbf.counter_bits
+                    ));
+                }
+            }
+            (Mechanism::Redhip, InclusionPolicy::Exclusive) => {
+                let llc = self.platform.llc().capacity_bytes;
+                if pt_bytes == 0 || pt_bytes >= llc {
+                    return Err(format!(
+                        "prediction-table size must be between 1 and {} bytes, below the \
+                         {llc}-byte LLC (got {pt_bytes})",
+                        llc - 1
+                    ));
+                }
+            }
+            (Mechanism::Redhip, _) => {
+                // 8 × bytes one-bit entries, indexed by a mask.
+                let llc = self.platform.llc().capacity_bytes;
+                if !pt_bytes.is_power_of_two() || pt_bytes > llc {
+                    return Err(format!(
+                        "prediction-table size must be a power of two no larger than the \
+                         {llc}-byte LLC, so that it holds a power-of-two number of 1-bit \
+                         entries (got {pt_bytes})"
+                    ));
+                }
+            }
+            _ => {}
         }
         if self.avg_cpi <= 0.0 {
             return Err("avg_cpi must be positive".into());
@@ -516,6 +567,39 @@ mod tests {
             c.policy = InclusionPolicy::Exclusive;
             assert!(c.validate().is_ok(), "{m:?} must be accepted");
         }
+    }
+
+    #[test]
+    fn predictor_budgets_the_tables_cannot_be_built_with_are_rejected() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Redhip);
+        for bad in [0, 3, 96 << 10, 16 << 20] {
+            c.pt_bytes = Some(bad);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("power of two"), "{err}");
+        }
+        c.pt_bytes = Some(1);
+        assert!(c.validate().is_ok());
+        c.policy = InclusionPolicy::Exclusive;
+        c.pt_bytes = Some(0);
+        assert!(c.validate().is_err());
+        c.pt_bytes = Some(96 << 10);
+        assert!(c.validate().is_ok(), "the exclusive bank rounds any size");
+
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Cbf);
+        c.pt_bytes = Some(3);
+        assert!(
+            c.validate().is_ok(),
+            "the CBF rounds its counter count down"
+        );
+        c.pt_bytes = Some(1);
+        c.cbf.counter_bits = 8;
+        assert!(c.validate().unwrap_err().contains("fewer than 2"));
+        c.pt_bytes = None;
+        c.cbf.counter_bits = 0;
+        assert!(c.validate().unwrap_err().contains("1..=8"));
+        c.cbf.counter_bits = 4;
+        c.cbf.num_hashes = 0;
+        assert!(c.validate().unwrap_err().contains("at least 1"));
     }
 
     #[test]

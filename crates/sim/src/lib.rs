@@ -31,7 +31,6 @@
 
 pub mod config;
 pub mod metrics;
-pub mod parallel;
 pub mod predictor;
 pub mod report;
 pub mod run;
@@ -43,16 +42,12 @@ pub use config::{
     WayMemoParams,
 };
 pub use predictor::{
-    build_impl, parse_spec, registry_info, spec_string, MechanismInfo, ParsedSpec, PredictorImpl,
-    Steer, WalkOutcome, REGISTRY,
+    build_impl, parse_spec, spec_string, MechanismInfo, ParsedSpec, PredictorImpl, Steer,
+    WalkOutcome, REGISTRY,
 };
 // `crate::` disambiguates the local module from the `metrics` registry
 // crate the runtime instrumentation lives in.
 pub use crate::metrics::Comparison;
-pub use parallel::{
-    parallel_supported, run_feeds_par, run_feeds_par_with, run_traces_par, run_traces_par_with,
-    IntraOptions,
-};
 pub use run::{
     run_duplicated, run_feeds, run_feeds_with, run_traces, run_traces_with, CoreFeed, CoreTrace,
     RunResult,

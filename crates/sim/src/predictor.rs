@@ -122,10 +122,6 @@ pub struct MechanismInfo {
     pub mechanism: Mechanism,
     /// One-line semantics for `--help`/docs.
     pub summary: &'static str,
-    /// Whether the parallel engine's commit-log envelope covers it
-    /// (otherwise `--intra-jobs > 1` takes the documented sequential
-    /// fallback).
-    pub parallel_envelope: bool,
 }
 
 /// Every mechanism the spec parser knows, in presentation order.
@@ -134,59 +130,43 @@ pub const REGISTRY: [MechanismInfo; 8] = [
         spec_name: "base",
         mechanism: Mechanism::Base,
         summary: "no prediction; every level reads all tag+data ways in parallel",
-        parallel_envelope: true,
     },
     MechanismInfo {
         spec_name: "redhip",
         mechanism: Mechanism::Redhip,
         summary: "recalibrated 1-bit LLC-residency table gating DRAM bypass",
-        parallel_envelope: true,
     },
     MechanismInfo {
         spec_name: "cbf",
         mechanism: Mechanism::Cbf,
         summary: "counting Bloom filter tracking LLC residency at equal area",
-        parallel_envelope: true,
     },
     MechanismInfo {
         spec_name: "phased",
         mechanism: Mechanism::Phased,
         summary: "L3/L4 serialize tag then data access; no predictor",
-        parallel_envelope: false,
     },
     MechanismInfo {
         spec_name: "oracle",
         mechanism: Mechanism::Oracle,
         summary: "perfect zero-overhead LLC-residency prediction",
-        parallel_envelope: true,
     },
     MechanismInfo {
         spec_name: "level-pred",
         mechanism: Mechanism::LevelPred,
         summary: "per-load predicted hit level steers the lookup order",
-        parallel_envelope: false,
     },
     MechanismInfo {
         spec_name: "perceptron",
         mechanism: Mechanism::Perceptron,
         summary: "hashed perceptron with confidence threshold gating DRAM bypass",
-        parallel_envelope: false,
     },
     MechanismInfo {
         spec_name: "way-memo",
         mechanism: Mechanism::WayMemo,
         summary: "tag-way read skipping on memoized re-touched blocks",
-        parallel_envelope: false,
     },
 ];
-
-/// Looks a mechanism's registry entry up.
-pub fn registry_info(mechanism: Mechanism) -> &'static MechanismInfo {
-    REGISTRY
-        .iter()
-        .find(|i| i.mechanism == mechanism)
-        .expect("every Mechanism is registered")
-}
 
 /// A parsed `--mechanism` spec: the mechanism plus parameter overrides
 /// (fields not named in the spec keep their defaults).
@@ -298,6 +278,9 @@ pub fn parse_spec(s: &str) -> Result<ParsedSpec, String> {
             (Mechanism::WayMemo, "penalty") => spec.way_memo.stale_penalty = parse_num(key, value)?,
             _ => unreachable!("key membership checked above"),
         }
+    }
+    if spec.mechanism == Mechanism::Cbf {
+        spec.cbf.check()?;
     }
     Ok(spec)
 }
@@ -698,7 +681,6 @@ mod tests {
                 1,
                 "{m:?}"
             );
-            assert_eq!(registry_info(m).mechanism, m);
         }
         let mut names: Vec<&str> = REGISTRY.iter().map(|i| i.spec_name).collect();
         names.sort_unstable();

@@ -121,7 +121,7 @@ impl FromJson for RunResult {
 ///   with real per-process page tables. Page-internal locality (and the
 ///   L1 index bits) is preserved; streams crossing page boundaries lose
 ///   physical contiguity, exactly as on real hardware.
-pub(crate) fn core_physical(cfg: &SimConfig, core: usize, addr: u64) -> u64 {
+fn core_physical(cfg: &SimConfig, core: usize, addr: u64) -> u64 {
     let scramble = (core as u64).wrapping_mul(0x9e37_79b9) & 0x03ff_ffff; // bits 12..38
     let scrambled = addr ^ (scramble << 12);
     if cfg.address_space_bit == 0 {

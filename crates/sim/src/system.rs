@@ -882,11 +882,6 @@ impl<O: SimObserver> System<O> {
         )
     }
 
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        &self.obs
-    }
-
     /// The attached observer, mutably (e.g. to flush a heartbeat).
     pub fn observer_mut(&mut self) -> &mut O {
         &mut self.obs

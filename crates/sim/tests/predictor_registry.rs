@@ -91,6 +91,15 @@ fn parser_errors_name_the_alternatives() {
     assert!(err.contains("theta, history"), "{err}");
     let err = parse_spec("oracle:x=1").unwrap_err();
     assert!(err.contains("takes no parameters"), "{err}");
+    // Values the filter cannot be built with name the valid range.
+    for (spec, range) in [
+        ("cbf:bits=0", "1..=8"),
+        ("cbf:bits=9", "1..=8"),
+        ("cbf:hashes=0", "at least 1"),
+    ] {
+        let err = parse_spec(spec).unwrap_err();
+        assert!(err.contains(range), "{spec}: {err}");
+    }
 }
 
 /// Distinct parameterizations of the same mechanism must print distinct
@@ -113,9 +122,11 @@ fn distinct_parameterizations_print_distinct_specs() {
 /// Replays a deterministic access history into `p`: probes, training
 /// outcomes, LLC fill/evict events, and (for L1-observing predictors)
 /// L1-hit memo traffic. Two predictors fed the same seed see the exact
-/// same history.
+/// same history. Like an inclusive LLC, the history only evicts a block
+/// it filled earlier and has not evicted since.
 fn replay(p: &mut dyn PredictorImpl, seed: u64, n: usize) {
     let mut st = seed;
+    let mut filled: Vec<u64> = Vec::new();
     for _ in 0..n {
         let block = splitmix(&mut st) % (1 << 18);
         let core = (splitmix(&mut st) % 2) as usize;
@@ -131,9 +142,11 @@ fn replay(p: &mut dyn PredictorImpl, seed: u64, n: usize) {
         p.train(core, block, WalkOutcome { hit_level });
         if splitmix(&mut st).is_multiple_of(3) {
             p.on_llc_fill(block);
+            filled.push(block);
         }
-        if splitmix(&mut st).is_multiple_of(7) {
-            p.on_llc_evict(block);
+        if splitmix(&mut st).is_multiple_of(7) && !filled.is_empty() {
+            let victim = (splitmix(&mut st) % filled.len() as u64) as usize;
+            p.on_llc_evict(filled.swap_remove(victim));
         }
     }
 }

@@ -1,9 +1,6 @@
 //! One simulation cell of a sweep: (workload × mechanism × config).
 
-use sim::{
-    run_feeds, run_feeds_par, run_traces, run_traces_par, CoreFeed, IntraOptions, RunResult,
-    SimConfig,
-};
+use sim::{run_feeds, run_traces, CoreFeed, RunResult, SimConfig};
 use std::sync::Arc;
 use workloads::{Benchmark, Scale, TraceFileWorkload};
 
@@ -96,10 +93,7 @@ impl CellSpec {
     /// Deterministic run manifest for this cell, embedded into cache
     /// entries and exportable via `--metrics`. Every field is derived
     /// from the cell's identity alone (never from job counts or wall
-    /// clocks), so entries stay byte-identical across schedulers; the
-    /// `sequential_fallback` flag records whether the configuration lies
-    /// outside the bound–weave envelope and therefore always runs
-    /// sequentially regardless of `--intra-jobs`.
+    /// clocks), so entries stay byte-identical across schedulers.
     pub fn manifest(&self) -> metrics::RunManifest {
         let (workload, seed) = match &self.source {
             CellSource::Synth { benchmark, scale } => (
@@ -114,7 +108,6 @@ impl CellSpec {
             workload,
             seed,
             config_hash: self.content_hash(),
-            sequential_fallback: !sim::parallel_supported(&self.cfg),
         }
     }
 
@@ -142,34 +135,6 @@ impl CellSpec {
                     .map(|core| Box::new(w.feed(core, cores)) as CoreFeed)
                     .collect();
                 run_feeds(&self.cfg, feeds)
-            }
-        }
-    }
-
-    /// Like [`CellSpec::simulate`], but with `intra_jobs` worker threads
-    /// inside the run (the `sim::parallel` bound–weave engine).
-    /// Byte-identical to [`CellSpec::simulate`] at every thread count —
-    /// the result cache stays valid across `intra_jobs` settings — and
-    /// falls back to it when `intra_jobs <= 1` or the configuration is
-    /// outside the engine's envelope.
-    pub fn simulate_par(&self, intra_jobs: usize) -> RunResult {
-        if intra_jobs <= 1 {
-            return self.simulate();
-        }
-        let opts = IntraOptions::with_jobs(intra_jobs);
-        let cores = self.cfg.platform.cores;
-        match &self.source {
-            CellSource::Synth { benchmark, scale } => {
-                let traces = (0..cores)
-                    .map(|core| benchmark.trace(core, *scale))
-                    .collect();
-                run_traces_par(&self.cfg, traces, &opts)
-            }
-            CellSource::File(w) => {
-                let feeds = (0..cores)
-                    .map(|core| Box::new(w.feed(core, cores)) as CoreFeed)
-                    .collect();
-                run_feeds_par(&self.cfg, feeds, &opts)
             }
         }
     }

@@ -2,7 +2,6 @@
 
 use crate::cache::ResultCache;
 use crate::cell::CellSpec;
-use crate::pool;
 use sim::{RunResult, SimConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -193,7 +192,6 @@ pub fn default_jobs() -> usize {
 #[derive(Debug)]
 pub struct SweepEngine {
     jobs: usize,
-    intra_jobs: usize,
     cache: ResultCache,
     quiet: bool,
 }
@@ -203,28 +201,9 @@ impl SweepEngine {
     pub fn new(jobs: usize) -> Self {
         Self {
             jobs: jobs.max(1),
-            intra_jobs: 1,
             cache: ResultCache::in_memory(),
             quiet: false,
         }
-    }
-
-    /// Gives every cell `intra_jobs` worker threads *inside* its run (the
-    /// `sim::parallel` bound–weave engine — byte-identical results, so
-    /// caches remain valid). To keep the thread budget at
-    /// `sweep_jobs x intra_jobs <= available_parallelism`, the sweep's own
-    /// worker count is reduced accordingly. Worthwhile when a plan has
-    /// fewer (large) cells than the host has cores — the classic single
-    /// straggler cell at the end of a sweep.
-    pub fn with_intra_jobs(mut self, intra_jobs: usize) -> Self {
-        self.intra_jobs = intra_jobs.max(1);
-        if self.intra_jobs > 1 {
-            let avail = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            self.jobs = self.jobs.min((avail / self.intra_jobs).max(1));
-        }
-        self
     }
 
     /// Replaces the cache (e.g. [`ResultCache::with_disk`]).
@@ -242,11 +221,6 @@ impl SweepEngine {
     /// Worker threads this engine schedules onto.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Worker threads each cell runs with internally.
-    pub fn intra_jobs(&self) -> usize {
-        self.intra_jobs
     }
 
     /// The cache, for hit-counter assertions.
@@ -298,7 +272,7 @@ impl SweepEngine {
             let run_cell = |k: usize| {
                 let id = to_run[k];
                 let spec = &plan.cells[id];
-                let result = spec.simulate_par(self.intra_jobs);
+                let result = spec.simulate();
                 self.cache.store(
                     &spec.canonical_key(),
                     spec.content_hash(),
@@ -404,25 +378,6 @@ mod tests {
         let r4 = SweepEngine::new(4).quiet().run(&p4, "t").unwrap();
         assert_eq!(r1.all().len(), r4.all().len());
         for (a, b) in r1.all().iter().zip(r4.all()) {
-            assert_eq!(a.to_json().pretty(), b.to_json().pretty());
-        }
-    }
-
-    #[test]
-    fn intra_jobs_results_are_byte_identical_and_budgeted() {
-        use minijson::ToJson;
-        let r1 = SweepEngine::new(1).quiet().run(&smoke_plan(), "t").unwrap();
-        let engine = SweepEngine::new(2).with_intra_jobs(2).quiet();
-        // The thread budget holds: sweep_jobs x intra_jobs <= host cores
-        // (with a floor of one sweep worker).
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        assert!(engine.jobs() == 1 || engine.jobs() * engine.intra_jobs() <= avail);
-        assert_eq!(engine.intra_jobs(), 2);
-        let r2 = engine.run(&smoke_plan(), "t").unwrap();
-        assert_eq!(r1.all().len(), r2.all().len());
-        for (a, b) in r1.all().iter().zip(r2.all()) {
             assert_eq!(a.to_json().pretty(), b.to_json().pretty());
         }
     }

@@ -22,7 +22,6 @@
 pub mod cache;
 pub mod cell;
 pub mod engine;
-pub mod pool;
 
 pub use cache::{ResultCache, CACHE_SCHEMA, CACHE_VERSION};
 pub use cell::{CellSource, CellSpec};

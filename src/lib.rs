@@ -47,10 +47,9 @@ pub mod prelude {
         CountingBloomFilter, Prediction, PredictionTable, PresencePredictor, RecalibrationEngine,
     };
     pub use sim::{
-        parallel_supported, run_duplicated, run_feeds, run_feeds_par, run_traces, run_traces_par,
-        run_traces_with, Comparison, CoreFeed, CoreTrace, Heartbeat, HeartbeatObserver,
-        IntraOptions, Mechanism, NullObserver, RecalibMarker, RunResult, SimConfig, SimObserver,
-        Tee, TelemetryRecord, WindowSample, WindowedCollector,
+        run_duplicated, run_feeds, run_traces, run_traces_with, Comparison, CoreFeed, CoreTrace,
+        Heartbeat, HeartbeatObserver, Mechanism, NullObserver, RecalibMarker, RunResult, SimConfig,
+        SimObserver, Tee, TelemetryRecord, WindowSample, WindowedCollector,
     };
     pub use workloads::{Benchmark, FileMode, Scale, TraceFileWorkload, WorkloadSource};
 }

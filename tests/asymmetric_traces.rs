@@ -56,85 +56,6 @@ fn cycles_per_ref_uses_per_core_average_on_asymmetric_runs() {
     );
 }
 
-/// Asymmetric config inside the parallel engine's envelope: the default
-/// `avg_cpi` (1.5 = 384/256) is exact on the engine's 1/256-cycle clock
-/// grid, unlike Mcf's stamped 2.2, which exercises the documented
-/// sequential fallback instead of the engine.
-fn envelope_cfg(mechanism: Mechanism) -> SimConfig {
-    let mut platform = demo_scale();
-    platform.cores = 2;
-    let mut cfg = SimConfig::new(platform, mechanism);
-    cfg.refs_per_core = FULL;
-    cfg.recalib_period = Some(4_096);
-    cfg
-}
-
-fn asymmetric_traces() -> Vec<CoreTrace> {
-    let short: CoreTrace = Box::new(Benchmark::Mcf.trace(0, Scale::Smoke).take(SHORT as usize));
-    let full: CoreTrace = Benchmark::Mcf.trace(1, Scale::Smoke);
-    vec![short, full]
-}
-
-#[test]
-fn unequal_drain_parallel_runs_match_sequential_byte_for_byte() {
-    // Cores drain at different points (one hits its trace end, the other
-    // its target), so the bound-weave engine's horizon logic sees active
-    // and finished cores coexist — the result must not move by a byte.
-    use minijson::ToJson;
-    for mechanism in [Mechanism::Base, Mechanism::Redhip] {
-        let cfg = envelope_cfg(mechanism);
-        assert!(parallel_supported(&cfg), "test must exercise the engine");
-        let seq = run_traces(&cfg, asymmetric_traces()).to_json().pretty();
-        for jobs in [2usize, 8] {
-            let par = run_traces_par(&cfg, asymmetric_traces(), &IntraOptions::with_jobs(jobs))
-                .to_json()
-                .pretty();
-            assert_eq!(seq, par, "{mechanism:?} diverged at intra_jobs={jobs}");
-        }
-    }
-}
-
-/// Collects the core index of every sequential L1 miss — the reference
-/// `(clock, core)` order the weave phase promises to reproduce.
-#[derive(Default)]
-struct MissOrder(Vec<usize>);
-
-impl SimObserver for MissOrder {
-    fn on_level_access(&mut self, core: usize, level: u8, hit: bool) {
-        if level == 0 && !hit {
-            self.0.push(core);
-        }
-    }
-}
-
-#[test]
-fn weave_commit_order_is_the_sequential_clock_core_order() {
-    use mem_trace::IterFeed;
-    use sim::parallel::run_feeds_par_commitlog;
-    use sim::run_feeds_with;
-    let cfg = envelope_cfg(Mechanism::Redhip);
-    let feeds = || -> Vec<CoreFeed> {
-        let short = Benchmark::Mcf.trace(0, Scale::Smoke).take(SHORT as usize);
-        let full = Benchmark::Mcf.trace(1, Scale::Smoke);
-        vec![
-            Box::new(IterFeed::new(short)),
-            Box::new(IterFeed::new(full)),
-        ]
-    };
-    let (_, obs) = run_feeds_with(&cfg, feeds(), MissOrder::default());
-    let (_, log) = run_feeds_par_commitlog(&cfg, feeds(), &IntraOptions::with_jobs(2));
-    assert!(!log.is_empty(), "no shared events committed");
-    // The weave commits exactly the sequential scheduler's L1-miss
-    // sequence, and the log is lexicographically (clock, core)-sorted —
-    // the argmin order made explicit.
-    let committed: Vec<usize> = log.iter().map(|&(_, core)| core).collect();
-    assert_eq!(obs.0, committed, "commit order diverged from sequential");
-    assert!(
-        log.windows(2).all(|w| w[0] <= w[1]),
-        "commit log is not (clock, core)-sorted"
-    );
-}
-
 #[test]
 fn asymmetric_runs_are_deterministic() {
     // The batched scheduler takes a data-dependent number of inner steps

@@ -18,7 +18,7 @@
 use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
 use minijson::ToJson;
-use sim::{run_traces, run_traces_par, CoreTrace, IntraOptions, Mechanism, SimConfig};
+use sim::{run_traces, CoreTrace, Mechanism, SimConfig};
 use std::path::PathBuf;
 
 const MECHANISMS: [Mechanism; 8] = [
@@ -134,41 +134,6 @@ fn golden_run_results_are_reproduced_byte_identically() {
                 "golden mismatch for {name}: {}",
                 first_diff(&want, &got)
             );
-        }
-    }
-}
-
-/// Every golden, reproduced through the intra-run parallel entry point at
-/// several thread counts, must still match the snapshots byte for byte —
-/// the bound–weave engine's determinism contract, pinned against the same
-/// files the sequential hot path is pinned against. (Phased and the
-/// registry mechanisms — LevelPred, Perceptron, WayMemo — are outside the
-/// engine's envelope and exercise the documented sequential fallback; the
-/// other four run the engine proper at jobs > 1.)
-#[test]
-fn golden_run_results_match_at_every_intra_jobs() {
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        return; // the sequential test regenerates; nothing to pin yet
-    }
-    let dir = golden_dir();
-    for intra_jobs in [1usize, 2, 8] {
-        let opts = IntraOptions::with_jobs(intra_jobs);
-        for workload in WORKLOADS {
-            for mechanism in MECHANISMS {
-                let name = format!("{workload}_{}.json", mechanism.name());
-                let cfg = golden_config(mechanism);
-                let traces = (0..CORES).map(|c| trace(workload, c)).collect();
-                let result = run_traces_par(&cfg, traces, &opts);
-                let mut got = result.to_json().pretty();
-                got.push('\n');
-                let want = std::fs::read_to_string(dir.join(&name))
-                    .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
-                assert!(
-                    want == got,
-                    "parallel golden mismatch for {name} at intra_jobs={intra_jobs}: {}",
-                    first_diff(&want, &got)
-                );
-            }
         }
     }
 }

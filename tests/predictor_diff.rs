@@ -10,20 +10,14 @@
 //! * Oracle's bypass accuracy bounds every predictor's from above (and
 //!   its false-positive count is exactly zero);
 //! * LevelPred degenerates to Base pricing when its confidence threshold
-//!   can never be met and prediction overhead is uncounted;
-//! * every configuration produces byte-identical `RunResult` JSON at
-//!   `--intra-jobs 1` and `--intra-jobs 4` (the engine proper inside the
-//!   envelope, the documented sequential fallback outside it).
+//!   can never be met and prediction overhead is uncounted.
 //!
 //! The PRNG is a fixed-seed splitmix64, so failures replay exactly.
 
 use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
 use minijson::ToJson;
-use sim::{
-    parse_spec, run_traces, run_traces_par, CoreTrace, IntraOptions, Mechanism, RunResult,
-    SimConfig,
-};
+use sim::{parse_spec, run_traces, CoreTrace, Mechanism, RunResult, SimConfig};
 
 const CORES: usize = 2;
 const ROUNDS: u64 = 4;
@@ -186,19 +180,6 @@ fn seeded_random_configs_respect_cross_mechanism_invariants() {
                     r.hierarchy.to_json().pretty(),
                     base.hierarchy.to_json().pretty(),
                     "{ctx} {spec}: hierarchy diverged from Base"
-                );
-            }
-
-            // --intra-jobs 1 and 4 must be byte-identical: the engine
-            // proper inside the envelope, the sequential fallback outside.
-            let seq = r.to_json().pretty();
-            for jobs in [1usize, 4] {
-                let traces = (0..CORES).map(|c| trace(kind, seed, c)).collect();
-                let par = run_traces_par(&cfg, traces, &IntraOptions::with_jobs(jobs));
-                assert_eq!(
-                    seq,
-                    par.to_json().pretty(),
-                    "{ctx} {spec}: intra_jobs={jobs} diverged"
                 );
             }
         }

@@ -219,7 +219,7 @@ fn golden_cells_through_the_pool_match_committed_snapshots() {
     let slots: Vec<Mutex<Option<String>>> = cells.iter().map(|_| Mutex::new(None)).collect();
     let order: Vec<usize> = (0..cells.len()).collect();
     let ticks = AtomicU64::new(0);
-    sweep::pool::run_ordered(
+    pool::run_ordered(
         4,
         &order,
         &ticks,
