@@ -15,9 +15,11 @@
 //! REGEN_GOLDEN=1 cargo test --test golden_diff
 //! ```
 
+use cache_sim::hierarchy::InclusionPolicy;
 use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
 use minijson::ToJson;
+use prefetch::StrideConfig;
 use sim::{run_traces, CoreTrace, Mechanism, SimConfig};
 use std::path::PathBuf;
 
@@ -75,9 +77,12 @@ fn golden_config(mechanism: Mechanism) -> SimConfig {
 }
 
 fn run_one(workload: &str, mechanism: Mechanism) -> String {
-    let cfg = golden_config(mechanism);
+    run_config(workload, &golden_config(mechanism))
+}
+
+fn run_config(workload: &str, cfg: &SimConfig) -> String {
     let traces = (0..CORES).map(|c| trace(workload, c)).collect();
-    let result = run_traces(&cfg, traces);
+    let result = run_traces(cfg, traces);
     let mut text = result.to_json().pretty();
     text.push('\n');
     text
@@ -107,33 +112,131 @@ fn first_diff(want: &str, got: &str) -> String {
     )
 }
 
+/// Compares `got` with the committed snapshot `name`, or rewrites the
+/// snapshot when `REGEN_GOLDEN` is set.
+fn check_golden(name: &str, got: &str) {
+    let dir = golden_dir();
+    let path = dir.join(name);
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::create_dir_all(&dir).expect("create tests/golden");
+        std::fs::write(&path, got).expect("write golden");
+        eprintln!("regenerated {name}");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden {name} ({e}); run REGEN_GOLDEN=1 cargo test --test golden_diff")
+    });
+    assert!(
+        want == got,
+        "golden mismatch for {name}: {}",
+        first_diff(&want, got)
+    );
+}
+
 #[test]
 fn golden_run_results_are_reproduced_byte_identically() {
-    let regen = std::env::var_os("REGEN_GOLDEN").is_some();
-    let dir = golden_dir();
-    if regen {
-        std::fs::create_dir_all(&dir).expect("create tests/golden");
-    }
     for workload in WORKLOADS {
         for mechanism in MECHANISMS {
             let name = format!("{workload}_{}.json", mechanism.name());
-            let path = dir.join(&name);
-            let got = run_one(workload, mechanism);
-            if regen {
-                std::fs::write(&path, &got).expect("write golden");
-                eprintln!("regenerated {name}");
-                continue;
-            }
-            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "missing golden {name} ({e}); run REGEN_GOLDEN=1 cargo test --test golden_diff"
-                )
-            });
-            assert!(
-                want == got,
-                "golden mismatch for {name}: {}",
-                first_diff(&want, &got)
-            );
+            check_golden(&name, &run_one(workload, mechanism));
+        }
+    }
+}
+
+/// One configuration outside the matrix. Every matrix golden runs
+/// inclusive, at period 1500 and without prefetch, so none of them reaches
+/// the exact table (period 1), the exclusive bank or the prefetch filter;
+/// each arm snapshot pins one of those paths.
+struct Arm {
+    /// Snapshot file stem under `tests/golden/`.
+    name: &'static str,
+    workload: &'static str,
+    mechanism: Mechanism,
+    configure: fn(&mut SimConfig),
+    /// `(section, counter, value)` entries of the snapshot that prove the
+    /// arm's path ran.
+    ran: &'static [(&'static str, &'static str, u64)],
+}
+
+fn stride_prefetch(cfg: &mut SimConfig) {
+    cfg.prefetch = Some(StrideConfig::default());
+}
+
+const ARMS: [Arm; 6] = [
+    Arm {
+        name: "zipf_ReDHiP_period1",
+        workload: "zipf",
+        mechanism: Mechanism::Redhip,
+        configure: |cfg| cfg.recalib_period = Some(1),
+        ran: &[
+            ("prediction", "lookups", 19_090),
+            ("prediction", "recalibrations", 0),
+        ],
+    },
+    Arm {
+        name: "zipf_ReDHiP_exclusive",
+        workload: "zipf",
+        mechanism: Mechanism::Redhip,
+        configure: |cfg| cfg.policy = InclusionPolicy::Exclusive,
+        ran: &[
+            ("prediction", "false_positives", 2_250),
+            ("prediction", "recalibrations", 12),
+        ],
+    },
+    Arm {
+        name: "zipf_ReDHiP_hybrid",
+        workload: "zipf",
+        mechanism: Mechanism::Redhip,
+        configure: |cfg| cfg.policy = InclusionPolicy::Hybrid,
+        ran: &[
+            ("prediction", "lookups", 19_062),
+            ("prediction", "recalibrations", 12),
+        ],
+    },
+    Arm {
+        name: "stream_ReDHiP_prefetch",
+        workload: "stream",
+        mechanism: Mechanism::Redhip,
+        configure: stride_prefetch,
+        ran: &[
+            ("prefetch", "issued", 23_994),
+            ("prefetch", "predictor_filtered", 7_924),
+        ],
+    },
+    Arm {
+        name: "stream_CBF_prefetch",
+        workload: "stream",
+        mechanism: Mechanism::Cbf,
+        configure: stride_prefetch,
+        ran: &[
+            ("prefetch", "issued", 23_994),
+            ("prefetch", "predictor_filtered", 7_924),
+        ],
+    },
+    Arm {
+        name: "stream_WayMemo_prefetch",
+        workload: "stream",
+        mechanism: Mechanism::WayMemo,
+        configure: stride_prefetch,
+        ran: &[
+            ("prefetch", "issued", 23_994),
+            ("prefetch", "predictor_filtered", 0),
+        ],
+    },
+];
+
+#[test]
+fn golden_arm_snapshots_are_reproduced_byte_identically() {
+    for arm in &ARMS {
+        let mut cfg = golden_config(arm.mechanism);
+        (arm.configure)(&mut cfg);
+        let name = format!("{}.json", arm.name);
+        let got = run_config(arm.workload, &cfg);
+        check_golden(&name, &got);
+        let doc = minijson::parse(&got).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for &(section, counter, want) in arm.ran {
+            let value = doc.get(section).unwrap().u64_of(counter).unwrap();
+            assert_eq!(value, want, "{name}: {section}.{counter}");
         }
     }
 }
