@@ -120,8 +120,14 @@ pub fn measure(opts: &BenchOptions) -> Json {
     let trace = {
         use mem_trace::{ShardSpec, StreamTrace};
         use sim::{run_feeds, CoreFeed};
-        let path =
-            std::env::temp_dir().join(format!("redhip-bench-trace-{}.trace", std::process::id()));
+        // One file per call: concurrent measurements in one process (the
+        // unit tests) must not share, and delete, each other's trace.
+        static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "redhip-bench-trace-{}-{call}.trace",
+            std::process::id()
+        ));
         {
             let mut streams: Vec<_> = (0..cores)
                 .map(|c| opts.benchmark.trace(c, Scale::Smoke))

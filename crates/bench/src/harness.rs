@@ -1,4 +1,4 @@
-//! Shared experiment plumbing: configs, per-workload runs, parallel sweeps.
+//! Shared experiment plumbing: configs, per-workload runs, sweep plans.
 //!
 //! Parallel execution rides on the `sweep` crate's work-stealing pool;
 //! worker counts honor `REDHIP_JOBS` (see [`sweep::default_jobs`]).
@@ -96,88 +96,6 @@ pub fn run_workload_with<O: SimObserver>(
     run_traces_with(&cfg, traces, obs)
 }
 
-/// [`run_parallel`] with a stderr [`telemetry::Heartbeat`]: the workers
-/// bump a shared atomic tick counter and the calling thread drains it into
-/// the heartbeat, so long sweeps report jobs/s, % complete and ETA without
-/// any lock on the job hot path.
-pub fn run_parallel_hb<J, R, F>(label: &str, jobs: Vec<J>, worker: F) -> Vec<R>
-where
-    J: Send + Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
-    run_parallel_inner(Some(label), jobs, worker)
-}
-
-/// Runs a set of jobs on the work-stealing pool (the harness is
-/// embarrassingly parallel across workload × mechanism). Results return in
-/// job order regardless of worker count or completion order.
-pub fn run_parallel<J, R, F>(jobs: Vec<J>, worker: F) -> Vec<R>
-where
-    J: Send + Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
-    run_parallel_inner(None, jobs, worker)
-}
-
-fn run_parallel_inner<J, R, F>(label: Option<&str>, jobs: Vec<J>, worker: F) -> Vec<R>
-where
-    J: Send + Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
-    let n = jobs.len();
-    let mut heart = label.map(|l| telemetry::Heartbeat::new(l, "jobs", n as u64));
-    let threads = sweep::default_jobs().min(n.max(1));
-    if threads <= 1 {
-        let out = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                let r = worker(j);
-                if let Some(h) = heart.as_mut() {
-                    h.set_done(i as u64 + 1);
-                }
-                r
-            })
-            .collect();
-        if let Some(h) = heart.as_mut() {
-            h.finish();
-        }
-        return out;
-    }
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    let order: Vec<usize> = (0..n).collect();
-    let ticks = std::sync::atomic::AtomicU64::new(0);
-    pool::run_ordered(
-        threads,
-        &order,
-        &ticks,
-        |done| {
-            if let Some(h) = heart.as_mut() {
-                h.set_done(done);
-            }
-        },
-        |i| {
-            *slots[i].lock().expect("slot poisoned") = Some(worker(&jobs[i]));
-        },
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
-    if let Some(h) = heart.as_mut() {
-        h.finish();
-    }
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot poisoned")
-                .expect("job produced no result")
-        })
-        .collect()
-}
-
 /// Runs a single-figure [`SweepPlan`] immediately on a default engine —
 /// the compatibility path for callers that want one figure without
 /// assembling the whole-figure-set job graph themselves.
@@ -210,13 +128,6 @@ mod tests {
         let c = mechanism_config(FigureScale::Demo, Mechanism::Redhip, 1234);
         assert_eq!(c.refs_per_core, 1234);
         assert_eq!(c.recalib_period, Some(65_536));
-    }
-
-    #[test]
-    fn run_parallel_preserves_order() {
-        let jobs: Vec<u64> = (0..20).collect();
-        let out = run_parallel(jobs, |&j| j * 2);
-        assert_eq!(out, (0..20).map(|j| j * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Replaces the criterion dependency for the files under `benches/`. Each
 //! benchmark is a closure timed with [`std::time::Instant`]: a short warmup
-//! sizes the batch so one timed sample lasts roughly [`SAMPLE_TARGET`], then
+//! sizes the batch so one timed sample lasts roughly `SAMPLE_TARGET`, then
 //! several samples run and the fastest is reported (ns/op and, when an
 //! element count is given, million elements per second). Results print as
 //! aligned rows; nothing is persisted — the simulator-level history lives in

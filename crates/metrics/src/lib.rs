@@ -296,7 +296,7 @@ pub static TRACE_CHUNKS_DECODED: Counter = Counter::new("trace.chunks_decoded");
 /// Feed refills that stalled on decoding at least one new chunk.
 pub static TRACE_REFILL_STALLS: Counter = Counter::new("trace.refill_stalls");
 
-/// Registry-predictor probes (one per L1 miss of a custom mechanism).
+/// Predictor probes (one per L1 miss under a predicting mechanism).
 pub static PRED_PROBES: Counter = Counter::new("pred.probes");
 /// Probes that produced a confident steer (level or off-chip).
 pub static PRED_STEERED: Counter = Counter::new("pred.steered");

@@ -41,16 +41,12 @@ pub use config::{
     AccountingOptions, CbfParams, LevelPredParams, Mechanism, PerceptronParams, SimConfig,
     WayMemoParams,
 };
-pub use predictor::{
-    build_impl, parse_spec, spec_string, MechanismInfo, ParsedSpec, PredictorImpl, Steer,
-    WalkOutcome, REGISTRY,
-};
+pub use predictor::{parse_spec, spec_string, MechanismInfo, ParsedSpec, REGISTRY};
 // `crate::` disambiguates the local module from the `metrics` registry
 // crate the runtime instrumentation lives in.
 pub use crate::metrics::Comparison;
 pub use run::{
-    run_duplicated, run_feeds, run_feeds_with, run_traces, run_traces_with, CoreFeed, CoreTrace,
-    RunResult,
+    run_feeds, run_feeds_with, run_traces, run_traces_with, CoreFeed, CoreTrace, RunResult,
 };
 pub use stats::{PredictionStats, PrefetchSummary};
 pub use system::System;

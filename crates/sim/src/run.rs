@@ -312,18 +312,6 @@ pub fn run_feeds_with<O: SimObserver>(
     (result, system.into_observer())
 }
 
-/// Runs one trace duplicated onto every core (the paper's single-benchmark
-/// methodology: "we multi-program them by duplicating the trace into 8
-/// copies running on each core"). The generator factory is invoked once
-/// per core so each copy owns independent state.
-pub fn run_duplicated<F>(cfg: &SimConfig, mut make_trace: F) -> RunResult
-where
-    F: FnMut(usize) -> CoreTrace,
-{
-    let traces = (0..cfg.platform.cores).map(&mut make_trace).collect();
-    run_traces(cfg, traces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,13 +392,6 @@ mod tests {
         let ph = run_traces(&tiny_cfg(Mechanism::Phased), vec![stream(1), stream(2)]);
         assert!(ph.energy.total_dynamic_j() < base.energy.total_dynamic_j());
         assert!(ph.cycles >= base.cycles);
-    }
-
-    #[test]
-    fn duplicated_runs_give_every_core_work() {
-        let cfg = tiny_cfg(Mechanism::Base);
-        let r = run_duplicated(&cfg, |c| stream(c as u64));
-        assert_eq!(r.refs_per_core, vec![40_000, 40_000]);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The system model: cores, hierarchy, predictor, prefetcher, accounting.
 
 use crate::config::{Mechanism, SimConfig};
-use crate::predictor::{build_state, PredictorState, Steer, WalkOutcome};
+use crate::predictor::{Predictor, Steer, ALL_LEVELS};
 use crate::stats::{PredictionStats, PrefetchSummary};
 use cache_sim::hierarchy::{DeepHierarchy, HierarchyConfig};
 use cache_sim::traversal::{LevelId, Traversal, MEMORY};
 use cache_sim::CacheConfig;
-use energy_model::{EnergyAccount, PredictorSpec};
+use energy_model::{CacheSpec, EnergyAccount, PredictorSpec};
 use mem_trace::record::TraceRecord;
 use prefetch::StridePrefetcher;
-use redhip::{Prediction, RecalibrationEngine};
+use redhip::RecalibCost;
 use std::collections::HashSet;
 use telemetry::{NullObserver, SimObserver};
 
@@ -29,7 +29,7 @@ pub struct System<O: SimObserver = NullObserver> {
     cfg: SimConfig,
     obs: O,
     hierarchy: DeepHierarchy,
-    predictor: PredictorState,
+    predictor: Predictor,
     prefetchers: Vec<StridePrefetcher>,
     energy: EnergyAccount,
     clocks: Vec<f64>,
@@ -38,18 +38,17 @@ pub struct System<O: SimObserver = NullObserver> {
     pred_stats: PredictionStats,
     pf_summary: PrefetchSummary,
     pt_spec: PredictorSpec,
-    recalib_engine: Option<RecalibrationEngine>,
+    /// Energy charged per probe; `None` when probes are free or overhead
+    /// accounting is off.
+    probe_nj: Option<f64>,
     /// Precomputed L1-hit pricing (the mechanism's lookup flavour applied
     /// to level 0), so the dominant fast path skips `absorb_and_price`.
     l1_hit_nj: f64,
     l1_hit_cycles: u64,
     /// Miss count at which recalibration fires; `u64::MAX` when the
-    /// mechanism never recalibrates. Folding the predictor-kind match into
-    /// one constant makes the per-reference due-check a single compare.
+    /// predictor never recalibrates, so the per-reference due-check is a
+    /// single compare.
     recalib_threshold: u64,
-    /// Whether the L1-hit fast path consults the custom predictor
-    /// (WayMemo observes every L1 access to skip tag-way reads).
-    custom_l1: bool,
     /// Precomputed single-way L1 read energy (a memoized hit's price).
     way_hit_nj: f64,
     /// Blocks brought in by prefetch and not yet demanded (usefulness).
@@ -58,7 +57,23 @@ pub struct System<O: SimObserver = NullObserver> {
     t: Traversal,
     pf_t: Traversal,
     pf_buf: Vec<u64>,
-    steer_buf: Vec<(LevelId, bool)>,
+}
+
+/// The cache hierarchy `cfg` describes, with 64-byte blocks.
+pub(crate) fn hierarchy_config(cfg: &SimConfig) -> HierarchyConfig {
+    let cache = |l: &CacheSpec| CacheConfig {
+        capacity_bytes: l.capacity_bytes,
+        assoc: l.assoc,
+        block_bytes: 64,
+        policy: cfg.replacement,
+    };
+    let p = &cfg.platform;
+    HierarchyConfig {
+        cores: p.cores,
+        private_levels: p.levels[..p.levels.len() - 1].iter().map(cache).collect(),
+        shared_llc: cache(p.llc()),
+        policy: cfg.policy,
+    }
 }
 
 impl System {
@@ -81,53 +96,22 @@ impl<O: SimObserver> System<O> {
             panic!("invalid SimConfig: {e}");
         }
         let p = &cfg.platform;
-        let block = 64u64;
-        let hier_cfg = HierarchyConfig {
-            cores: p.cores,
-            private_levels: p.levels[..p.levels.len() - 1]
-                .iter()
-                .map(|l| CacheConfig {
-                    capacity_bytes: l.capacity_bytes,
-                    assoc: l.assoc,
-                    block_bytes: block,
-                    policy: cfg.replacement,
-                })
-                .collect(),
-            shared_llc: {
-                let l = p.llc();
-                CacheConfig {
-                    capacity_bytes: l.capacity_bytes,
-                    assoc: l.assoc,
-                    block_bytes: block,
-                    policy: cfg.replacement,
-                }
-            },
-            policy: cfg.policy,
+        let hierarchy = DeepHierarchy::new(&hierarchy_config(&cfg));
+
+        let predictor = Predictor::new(&cfg);
+        let pt_spec = p.predictor.scaled_to(cfg.effective_pt_bytes());
+        let probe_nj = predictor
+            .probe_nj(&pt_spec)
+            .filter(|_| cfg.count_prediction_overhead);
+        let recalib_threshold = match cfg.recalib_period {
+            Some(period) if predictor.recalibrates() => period,
+            _ => u64::MAX,
         };
-        let hierarchy = DeepHierarchy::new(&hier_cfg);
-
-        let pt_bytes = cfg.effective_pt_bytes();
-        let pt_spec = p.predictor.scaled_to(pt_bytes);
-        let llc_geom = hier_cfg.shared_llc.geometry();
-        let llc_sets = llc_geom.sets();
-        let llc_assoc = hier_cfg.shared_llc.assoc;
-
-        let (predictor, recalib_engine) = build_state(&cfg, &pt_spec, llc_sets, llc_assoc);
 
         let prefetchers = match cfg.prefetch {
             Some(sc) => (0..p.cores).map(|_| StridePrefetcher::new(sc)).collect(),
             None => Vec::new(),
         };
-
-        let recalib_threshold = match (&predictor, cfg.recalib_period) {
-            (PredictorState::Table(_), Some(period)) => period,
-            (PredictorState::Single(p), Some(period)) if p.supports_recalibration() => period,
-            (PredictorState::Multi { .. }, Some(period)) => period,
-            (PredictorState::Custom(p), Some(period)) if p.supports_recalibration() => period,
-            _ => u64::MAX,
-        };
-
-        let custom_l1 = matches!(&predictor, PredictorState::Custom(p) if p.observes_l1_hits());
 
         // Price the L1 hit once, mirroring `absorb_and_price` exactly for a
         // `(0, true)` lookup under this mechanism.
@@ -153,17 +137,15 @@ impl<O: SimObserver> System<O> {
             pred_stats: PredictionStats::default(),
             pf_summary: PrefetchSummary::default(),
             pt_spec,
-            recalib_engine,
+            probe_nj,
             l1_hit_nj,
             l1_hit_cycles,
             recalib_threshold,
-            custom_l1,
             way_hit_nj,
             prefetched: HashSet::new(),
             t: Traversal::new(),
             pf_t: Traversal::new(),
             pf_buf: Vec::new(),
-            steer_buf: Vec::new(),
             cfg,
         }
     }
@@ -195,25 +177,24 @@ impl<O: SimObserver> System<O> {
         // and report it directly, with no traversal bookkeeping. (On a hit
         // there are no fills, writebacks, probes, or predictor events.)
         if self.hierarchy.try_first_hit(core, block, store) {
-            if self.custom_l1 {
-                // WayMemo consults the memo on every L1 access: a memoized
-                // hit reads a single way (cheaper); a miss reads all ways
-                // at the standard price and records the block. Latency is
-                // unchanged either way — the optimization is energy-only.
-                let PredictorState::Custom(p) = &mut self.predictor else {
-                    unreachable!("custom_l1 implies a custom predictor")
-                };
-                self.pred_stats.lookups += 1;
-                if p.l1_hit_memoized(core, block) {
-                    self.pred_stats.bypasses += 1;
-                    self.energy.add_level(0, self.way_hit_nj);
-                    metrics::PRED_MEMO_SKIPS.incr();
-                } else {
-                    self.energy.add_level(0, self.l1_hit_nj);
+            // WayMemo consults the memo on every L1 access: a memoized hit
+            // reads a single way (cheaper); a memo miss reads all ways at
+            // the standard price. Latency is unchanged either way — the
+            // optimization is energy-only.
+            let nj = match self.predictor.memo_l1_hit(core, block) {
+                None => self.l1_hit_nj,
+                Some(memoized) => {
+                    self.pred_stats.lookups += 1;
+                    if memoized {
+                        self.pred_stats.bypasses += 1;
+                        metrics::PRED_MEMO_SKIPS.incr();
+                        self.way_hit_nj
+                    } else {
+                        self.l1_hit_nj
+                    }
                 }
-            } else {
-                self.energy.add_level(0, self.l1_hit_nj);
-            }
+            };
+            self.energy.add_level(0, nj);
             let latency = self.l1_hit_cycles;
             self.clocks[core] += latency as f64;
             if O::ENABLED {
@@ -282,245 +263,121 @@ impl<O: SimObserver> System<O> {
         self.clocks[core]
     }
 
+    /// Probes the predictor on an L1 miss and walks where it steers.
+    ///
+    /// A confident `Level` or `OffChip` steer still walks in exact Base
+    /// order, so hierarchy *state* (fills, promotions, evictions, LRU) is
+    /// identical to Base; the steer only rewrites which array lookups are
+    /// *charged* (see [`charge_steer`](Self::charge_steer)).
     fn dispatch_l1_miss(&mut self, core: usize, block: u64, store: bool, t: &mut Traversal) {
-        match self.cfg.mechanism {
-            Mechanism::Base | Mechanism::Phased => {
-                self.walk(core, block, store, t);
-            }
-            Mechanism::Oracle => {
-                self.pred_stats.lookups += 1;
-                if self.hierarchy.llc().probe(block) {
-                    let hit = self.walk(core, block, store, t);
-                    debug_assert!(hit, "oracle: inclusive LLC residency implies on-chip hit");
-                    self.pred_stats.walk_hits += 1;
-                    self.obs.on_walk_hit(core);
-                } else {
-                    self.pred_stats.bypasses += 1;
-                    self.obs.on_bypass(core);
-                    self.hierarchy.fill_from_memory(core, block, store, t);
-                }
-            }
-            Mechanism::Redhip | Mechanism::Cbf => match &self.predictor {
-                PredictorState::Table(table) => {
-                    self.pred_stats.lookups += 1;
-                    if self.cfg.count_prediction_overhead {
-                        self.energy.add_predictor(self.pt_spec.access_energy_nj);
-                        self.clocks[core] += self.pt_spec.lookup_latency() as f64;
-                    }
-                    // The branchless probe: one load + mask. A zero bit
-                    // proves absence (no false negatives, ever).
-                    if table.test(block) {
-                        if self.walk(core, block, store, t) {
-                            self.pred_stats.walk_hits += 1;
-                            self.obs.on_walk_hit(core);
-                        } else {
-                            self.pred_stats.false_positives += 1;
-                            self.obs.on_false_positive(core);
-                        }
-                    } else {
-                        debug_assert!(
-                            !self.hierarchy.llc().probe(block),
-                            "false negative: bypassed a resident block"
-                        );
-                        self.pred_stats.bypasses += 1;
-                        self.obs.on_bypass(core);
-                        self.hierarchy.fill_from_memory(core, block, store, t);
-                    }
-                }
-                PredictorState::Single(p) => {
-                    self.pred_stats.lookups += 1;
-                    if self.cfg.count_prediction_overhead {
-                        self.energy.add_predictor(self.pt_spec.access_energy_nj);
-                        self.clocks[core] += self.pt_spec.lookup_latency() as f64;
-                    }
-                    let prediction = p.predict(block);
-                    match prediction {
-                        Prediction::Absent => {
-                            debug_assert!(
-                                !self.hierarchy.llc().probe(block),
-                                "false negative: bypassed a resident block"
-                            );
-                            self.pred_stats.bypasses += 1;
-                            self.obs.on_bypass(core);
-                            self.hierarchy.fill_from_memory(core, block, store, t);
-                        }
-                        Prediction::MaybePresent => {
-                            if self.walk(core, block, store, t) {
-                                self.pred_stats.walk_hits += 1;
-                                self.obs.on_walk_hit(core);
-                            } else {
-                                self.pred_stats.false_positives += 1;
-                                self.obs.on_false_positive(core);
-                            }
-                        }
-                    }
-                }
-                PredictorState::Multi { bank, specs, .. } => {
-                    self.pred_stats.lookups += 1;
-                    if self.cfg.count_prediction_overhead {
-                        // All tables consulted simultaneously: energy for
-                        // each, latency of one round trip.
-                        let nj: f64 = specs.iter().map(|s| s.access_energy_nj).sum();
-                        self.energy.add_predictor(nj);
-                        self.clocks[core] += self.pt_spec.lookup_latency() as f64;
-                    }
-                    let levels = self.hierarchy.levels();
-                    let mut plan = [false; 8];
-                    for lvl in 1..levels {
-                        let idx = self.multi_index(lvl, core);
-                        plan[lvl as usize] = bank.predict(idx, block) == Prediction::MaybePresent;
-                    }
-                    let mut hit = false;
-                    for lvl in 1..levels {
-                        if !plan[lvl as usize] {
-                            continue;
-                        }
-                        if self.hierarchy.lookup(core, lvl, block, t) {
-                            self.hierarchy.promote(core, lvl, block, store, t);
-                            hit = true;
-                            break;
-                        }
-                    }
-                    if hit {
-                        self.pred_stats.walk_hits += 1;
-                        self.obs.on_walk_hit(core);
-                    } else {
-                        if t.lookups.len() == 1 {
-                            self.pred_stats.bypasses += 1;
-                            self.obs.on_bypass(core);
-                        } else {
-                            self.pred_stats.false_positives += 1;
-                            self.obs.on_false_positive(core);
-                        }
-                        self.hierarchy.fill_from_memory(core, block, store, t);
-                    }
-                }
-                _ => unreachable!("Redhip/Cbf always instantiate a predictor"),
-            },
-            Mechanism::LevelPred | Mechanism::Perceptron | Mechanism::WayMemo => {
-                self.dispatch_custom(core, block, store, t);
-            }
-        }
-    }
-
-    /// Registry-mechanism dispatch. The walk below always runs in exact
-    /// Base order, so hierarchy *state* (fills, promotions, evictions,
-    /// LRU) is identical to Base; the steer only rewrites which array
-    /// lookups get *charged*. The charged list keeps exactly one
-    /// `(level, hit=true)` entry — at the actual service level — iff the
-    /// request hit on chip, so per-level hit totals are conserved against
-    /// Base; steering probes that did not serve the data are charged as
-    /// tag-resolving `(level, false)` accesses.
-    fn dispatch_custom(&mut self, core: usize, block: u64, store: bool, t: &mut Traversal) {
-        // Swap the predictor out so `self.walk` can borrow the rest of
-        // the machine; restored below.
-        let mut state = std::mem::replace(&mut self.predictor, PredictorState::None);
-        let PredictorState::Custom(p) = &mut state else {
-            unreachable!("registry mechanisms always instantiate a custom predictor")
+        let Some(steer) = self.predictor.probe(core, block, &self.hierarchy) else {
+            self.walk(core, block, store, ALL_LEVELS, t);
+            return;
         };
         self.pred_stats.lookups += 1;
         metrics::PRED_PROBES.incr();
-        if self.cfg.count_prediction_overhead {
-            // Equal-area comparison: the contender's probe is charged at
-            // the prediction table's access energy and latency.
-            self.energy.add_predictor(self.pt_spec.access_energy_nj);
+        if let Some(nj) = self.probe_nj {
+            self.energy.add_predictor(nj);
             self.clocks[core] += self.pt_spec.lookup_latency() as f64;
         }
-        if p.observes_l1_hits() && p.l1_stale_memo(core, block) {
+        if self.predictor.memo_stale(core, block) {
             // A stale memo entry read a single way before discovering the
             // miss: charge the wasted way read plus the stale penalty.
             self.energy.add_level(0, self.way_hit_nj);
-            self.clocks[core] += p.mispredict_penalty_cycles() as f64;
-            self.pred_stats.false_positives += 1;
-            self.obs.on_false_positive(core);
-            metrics::PRED_MISPREDICTS.incr();
+            self.mispredicted(core);
         }
-        let steer = p.probe(core, block);
-        let hit = self.walk(core, block, store, t);
-        p.train(
-            core,
-            block,
-            WalkOutcome {
-                hit_level: t.hit_level,
-            },
+        let levels = match steer {
+            Steer::Lookup(levels) => levels,
+            Steer::Level(_) | Steer::OffChip => ALL_LEVELS,
+        };
+        debug_assert!(
+            levels != 0 || !self.hierarchy.llc().probe(block),
+            "false negative: bypassed a resident block"
         );
+        let hit = self.walk(core, block, store, levels, t);
+        self.predictor.train(core, block, t.hit_level);
         match steer {
-            Steer::Walk => {
-                // Charged exactly as walked — the Base lookup list.
-                if hit {
-                    self.pred_stats.walk_hits += 1;
-                    self.obs.on_walk_hit(core);
-                } else {
-                    self.pred_stats.false_positives += 1;
-                    self.obs.on_false_positive(core);
-                }
-            }
-            Steer::Level(lvl) if t.hit_level == Some(lvl) => {
-                // Correct steer: the only charged lookups are the L1 miss
-                // and the direct access to the predicted level.
-                metrics::PRED_STEERED.incr();
-                self.steer_buf.clear();
-                self.steer_buf.push((lvl, true));
-                self.rewrite_lookups(t);
-                self.pred_stats.walk_hits += 1;
-                self.obs.on_walk_hit(core);
+            Steer::Lookup(_) if hit => self.walk_hit(core),
+            // No level was read: the predictor proved absence.
+            Steer::Lookup(_) if t.lookups.len() == 1 => self.bypassed(core),
+            Steer::Lookup(_) => {
+                self.pred_stats.false_positives += 1;
+                self.obs.on_false_positive(core);
             }
             Steer::Level(lvl) => {
-                // Wrong steer: the direct access tag-misses, then the
-                // machine falls back to the full walk and pays a penalty.
-                metrics::PRED_STEERED.incr();
-                metrics::PRED_MISPREDICTS.incr();
-                self.steer_buf.clear();
-                self.steer_buf.push((lvl, false));
-                self.steer_buf.extend(t.lookups.iter().skip(1).copied());
-                self.rewrite_lookups(t);
-                self.clocks[core] += p.mispredict_penalty_cycles() as f64;
-                self.pred_stats.false_positives += 1;
-                self.obs.on_false_positive(core);
-            }
-            Steer::OffChip if !hit => {
-                // Correct off-chip steer: one LLC tag probe validates the
-                // bypass (no no-false-negative guarantee to lean on), then
-                // memory serves the request.
-                metrics::PRED_STEERED.incr();
-                self.steer_buf.clear();
-                self.steer_buf.push((self.hierarchy.llc_level(), false));
-                self.rewrite_lookups(t);
-                self.pred_stats.bypasses += 1;
-                self.obs.on_bypass(core);
+                let correct = t.hit_level == Some(lvl);
+                self.charge_steer(core, t, (lvl, correct), correct);
+                if correct {
+                    self.walk_hit(core);
+                }
             }
             Steer::OffChip => {
-                // The LLC validation probe tag-resolves the block on chip:
-                // the bypass is cancelled, the full walk is paid, plus the
-                // penalty.
-                metrics::PRED_STEERED.incr();
-                metrics::PRED_MISPREDICTS.incr();
-                self.steer_buf.clear();
-                self.steer_buf.push((self.hierarchy.llc_level(), false));
-                self.steer_buf.extend(t.lookups.iter().skip(1).copied());
-                self.rewrite_lookups(t);
-                self.clocks[core] += p.mispredict_penalty_cycles() as f64;
-                self.pred_stats.false_positives += 1;
-                self.obs.on_false_positive(core);
+                let llc = self.hierarchy.llc_level();
+                self.charge_steer(core, t, (llc, false), !hit);
+                if !hit {
+                    self.bypassed(core);
+                }
             }
         }
-        self.predictor = state;
     }
 
-    /// Replaces `t.lookups` with the L1 miss followed by `steer_buf` (the
-    /// charged list `dispatch_custom` assembled).
-    fn rewrite_lookups(&mut self, t: &mut Traversal) {
+    /// Rewrites the charged lookups of a confident steer: the L1 miss, then
+    /// `first` — the direct access to the predicted level, or the LLC tag
+    /// probe that validates an off-chip steer. A wrong steer falls back to
+    /// the Base walk and pays it too, plus the mispredict penalty. The
+    /// list keeps exactly one `(level, true)` entry, at the level that
+    /// served the data, iff the request hit on chip, so per-level hit
+    /// totals match Base.
+    fn charge_steer(
+        &mut self,
+        core: usize,
+        t: &mut Traversal,
+        first: (LevelId, bool),
+        correct: bool,
+    ) {
+        metrics::PRED_STEERED.incr();
+        let walked = t.lookups;
         t.lookups.clear();
         t.lookups.push((0, false));
-        t.lookups.extend(self.steer_buf.iter().copied());
+        t.lookups.push(first);
+        if !correct {
+            t.lookups.extend(walked.iter().skip(1).copied());
+            self.mispredicted(core);
+        }
     }
 
-    /// Walks every level below L1 in order; promotes on hit. Returns
-    /// whether the request hit on chip (and fills from memory otherwise).
-    fn walk(&mut self, core: usize, block: u64, store: bool, t: &mut Traversal) -> bool {
-        let levels = self.hierarchy.levels();
-        for lvl in 1..levels {
-            if self.hierarchy.lookup(core, lvl, block, t) {
+    fn walk_hit(&mut self, core: usize) {
+        self.pred_stats.walk_hits += 1;
+        self.obs.on_walk_hit(core);
+    }
+
+    fn bypassed(&mut self, core: usize) {
+        self.pred_stats.bypasses += 1;
+        self.obs.on_bypass(core);
+    }
+
+    /// A wrong confident steer or a stale memo entry: penalty cycles and a
+    /// false positive.
+    fn mispredicted(&mut self, core: usize) {
+        self.clocks[core] += self.predictor.mispredict_penalty() as f64;
+        self.pred_stats.false_positives += 1;
+        self.obs.on_false_positive(core);
+        metrics::PRED_MISPREDICTS.incr();
+    }
+
+    /// Looks up, in order, the levels below L1 whose bit is set in
+    /// `levels`; promotes on hit. Returns whether the request hit on chip
+    /// (and fills from memory otherwise).
+    fn walk(
+        &mut self,
+        core: usize,
+        block: u64,
+        store: bool,
+        levels: u8,
+        t: &mut Traversal,
+    ) -> bool {
+        for lvl in 1..self.hierarchy.levels() {
+            if levels & (1 << lvl) != 0 && self.hierarchy.lookup(core, lvl, block, t) {
                 self.hierarchy.promote(core, lvl, block, store, t);
                 return true;
             }
@@ -529,83 +386,19 @@ impl<O: SimObserver> System<O> {
         false
     }
 
-    /// Table index in the exclusive bank for `(level, core)`. Layout
-    /// follows `build_multi`: private level `l` occupies indices
-    /// `(l-1)·cores ..`, the shared LLC takes the final slot.
-    fn multi_index(&self, level: LevelId, core: usize) -> usize {
-        let cores = self.cfg.platform.cores;
-        let levels = self.cfg.platform.levels.len();
-        if level as usize == levels - 1 {
-            (levels - 2) * cores
-        } else {
-            (level as usize - 1) * cores + core
-        }
-    }
-
-    /// Feeds insert/remove events to the predictor. `core` is the issuing
-    /// core: in the exclusive configuration (the only one with per-core
-    /// tables) every private-level event of a traversal belongs to it.
+    /// Feeds a traversal's cache events to the predictor, counting and
+    /// charging every table write.
     fn apply_predictor_updates(&mut self, core: usize, t: &Traversal) {
+        let (stats, energy) = (&mut self.pred_stats, &mut self.energy);
         let overhead = self.cfg.count_prediction_overhead;
-        match &mut self.predictor {
-            PredictorState::Table(table) => {
-                // 1-bit entries: only LLC fills matter; evictions are
-                // intentionally ignored (§III-A).
-                let llc = self.hierarchy.llc_level();
-                for &(lvl, block) in t.inserted.iter() {
-                    if lvl == llc {
-                        table.set(block);
-                        self.pred_stats.updates += 1;
-                        if overhead {
-                            self.energy.add_predictor(self.pt_spec.access_energy_nj);
-                        }
-                    }
+        let llc = self.hierarchy.llc_level();
+        self.predictor
+            .update(core, t, llc, self.pt_spec.access_energy_nj, |nj| {
+                stats.updates += 1;
+                if overhead {
+                    energy.add_predictor(nj);
                 }
-            }
-            PredictorState::Single(p) => {
-                let llc = self.hierarchy.llc_level();
-                for (lvl, block) in t.inserted.iter().copied() {
-                    if lvl == llc {
-                        p.on_fill(block);
-                        self.pred_stats.updates += 1;
-                        if overhead {
-                            self.energy.add_predictor(self.pt_spec.access_energy_nj);
-                        }
-                    }
-                }
-                if p.wants_eviction_events() {
-                    for (lvl, block) in t.removed.iter().copied() {
-                        if lvl == llc {
-                            p.on_evict(block);
-                            self.pred_stats.updates += 1;
-                            if overhead {
-                                self.energy.add_predictor(self.pt_spec.access_energy_nj);
-                            }
-                        }
-                    }
-                }
-            }
-            PredictorState::Multi { .. } => {
-                // 1-bit tables: only fills matter (recalibration clears
-                // staleness); L1 has no table.
-                for i in 0..t.inserted.len() {
-                    let (lvl, block) = t.inserted[i];
-                    if lvl == 0 {
-                        continue;
-                    }
-                    let idx = self.multi_index(lvl, core);
-                    let PredictorState::Multi { bank, specs, .. } = &mut self.predictor else {
-                        unreachable!()
-                    };
-                    bank.on_fill(idx, block);
-                    self.pred_stats.updates += 1;
-                    if overhead {
-                        self.energy.add_predictor(specs[idx].access_energy_nj);
-                    }
-                }
-            }
-            _ => {}
-        }
+            });
     }
 
     #[inline]
@@ -613,88 +406,27 @@ impl<O: SimObserver> System<O> {
         self.l1_misses_since_recalib >= self.recalib_threshold
     }
 
-    /// Rebuilds the table(s) from the cache contents, charging the modelled
-    /// stall and energy.
+    /// Rebuilds the predictor from the cache contents, charging the
+    /// modelled stall and energy.
     fn recalibrate(&mut self) {
         self.l1_misses_since_recalib = 0;
         self.pred_stats.recalibrations += 1;
-        let overhead = self.cfg.count_prediction_overhead;
         // Overheads actually charged, reported on the telemetry marker
         // (they stay zero when overhead accounting is off).
-        let mut charged_nj = 0.0;
-        let mut charged_cycles = 0u64;
-        match &mut self.predictor {
-            PredictorState::Table(table) => {
-                table.recalibrate_from(self.hierarchy.llc().resident_blocks());
-                if overhead {
-                    if let Some(engine) = &self.recalib_engine {
-                        let cost = engine.cost();
-                        self.energy.add_recalibration(cost.energy_nj);
-                        for c in self.clocks.iter_mut() {
-                            *c += cost.cycles as f64;
-                        }
-                        charged_nj = cost.energy_nj;
-                        charged_cycles = cost.cycles;
-                    }
+        let charged = match self.predictor.recalibrate(&self.hierarchy) {
+            Some(cost) if self.cfg.count_prediction_overhead => {
+                self.energy.add_recalibration(cost.energy_nj);
+                for c in self.clocks.iter_mut() {
+                    *c += cost.cycles as f64;
                 }
+                cost
             }
-            PredictorState::Single(p) => {
-                p.recalibrate(&mut self.hierarchy.llc().resident_blocks());
-                if overhead {
-                    if let Some(engine) = &self.recalib_engine {
-                        let cost = engine.cost();
-                        self.energy.add_recalibration(cost.energy_nj);
-                        for c in self.clocks.iter_mut() {
-                            *c += cost.cycles as f64;
-                        }
-                        charged_nj = cost.energy_nj;
-                        charged_cycles = cost.cycles;
-                    }
-                }
-            }
-            PredictorState::Multi { bank, engines, .. } => {
-                let cores = self.cfg.platform.cores;
-                let levels = self.cfg.platform.levels.len();
-                let mut max_cycles = 0u64;
-                let mut total_nj = 0.0;
-                for lvl in 1..levels - 1 {
-                    for core in 0..cores {
-                        let idx = (lvl - 1) * cores + core;
-                        bank.recalibrate(
-                            idx,
-                            self.hierarchy
-                                .private_cache(core, lvl as u8)
-                                .resident_blocks(),
-                        );
-                        let cost = engines[idx].cost();
-                        max_cycles = max_cycles.max(cost.cycles);
-                        total_nj += cost.energy_nj;
-                    }
-                }
-                let llc_idx = (levels - 2) * cores;
-                bank.recalibrate(llc_idx, self.hierarchy.llc().resident_blocks());
-                let cost = engines[llc_idx].cost();
-                max_cycles = max_cycles.max(cost.cycles);
-                total_nj += cost.energy_nj;
-                if overhead {
-                    self.energy.add_recalibration(total_nj);
-                    for c in self.clocks.iter_mut() {
-                        *c += max_cycles as f64;
-                    }
-                    charged_nj = total_nj;
-                    charged_cycles = max_cycles;
-                }
-            }
-            PredictorState::Custom(p) => {
-                // Registry predictors scrub against LLC residency like the
-                // table does; their scrub is a metadata sweep with no
-                // dedicated engine model yet, so no energy/stall is
-                // charged (mirrors Oracle's free knowledge refresh).
-                p.recalibrate(&mut self.hierarchy.llc().resident_blocks());
-            }
-            _ => {}
-        }
-        self.obs.on_recalibration(charged_nj, charged_cycles);
+            _ => RecalibCost {
+                cycles: 0,
+                energy_nj: 0.0,
+            },
+        };
+        self.obs.on_recalibration(charged.energy_nj, charged.cycles);
     }
 
     /// Folds a traversal into the hierarchy statistics and prices its
@@ -772,25 +504,17 @@ impl<O: SimObserver> System<O> {
             self.pf_summary.issued += 1;
             pf_t.clear();
 
-            // ReDHiP/CBF filter the prefetch exactly like a demand miss.
-            let mut filtered = false;
-            match &self.predictor {
-                PredictorState::Table(table) => {
+            // The presence tables filter the prefetch exactly like a
+            // demand miss.
+            let filtered = match self.predictor.proves_absent(block) {
+                Some(absent) => {
                     if self.cfg.count_prediction_overhead {
                         self.energy.add_predictor(self.pt_spec.access_energy_nj);
                     }
-                    filtered = !table.test(block);
+                    absent
                 }
-                PredictorState::Single(p) => {
-                    if self.cfg.count_prediction_overhead {
-                        self.energy.add_predictor(self.pt_spec.access_energy_nj);
-                    }
-                    if p.predict(block) == Prediction::Absent {
-                        filtered = true;
-                    }
-                }
-                _ => {}
-            }
+                None => false,
+            };
 
             let mut resident = false;
             if filtered {

@@ -106,7 +106,7 @@ impl ResultCache {
 
     /// Stores a freshly simulated result under `key`. When a manifest is
     /// supplied, its deterministic identity fields are embedded in the
-    /// disk entry — [`load_entry`] ignores unknown members, so entries
+    /// disk entry — `load_entry` ignores unknown members, so entries
     /// with and without one interoperate, and only
     /// [`metrics::RunManifest::to_json`]'s job-count-invariant fields go
     /// in (cache directories are byte-compared across `--jobs`).

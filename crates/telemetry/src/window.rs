@@ -57,7 +57,7 @@ pub struct WindowSample {
     pub energy_nj: f64,
     /// Summed serialized access latency of the window's references.
     pub access_cycles: u64,
-    /// Log2-bucketed access-latency histogram ([`LATENCY_BUCKETS`] bins).
+    /// Log2-bucketed access-latency histogram (`LATENCY_BUCKETS` bins).
     pub latency_hist: Vec<u64>,
 }
 

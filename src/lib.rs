@@ -47,8 +47,8 @@ pub mod prelude {
         CountingBloomFilter, Prediction, PredictionTable, PresencePredictor, RecalibrationEngine,
     };
     pub use sim::{
-        run_duplicated, run_feeds, run_traces, run_traces_with, Comparison, CoreFeed, CoreTrace,
-        Heartbeat, HeartbeatObserver, Mechanism, NullObserver, RecalibMarker, RunResult, SimConfig,
+        run_feeds, run_traces, run_traces_with, Comparison, CoreFeed, CoreTrace, Heartbeat,
+        HeartbeatObserver, Mechanism, NullObserver, RecalibMarker, RunResult, SimConfig,
         SimObserver, Tee, TelemetryRecord, WindowSample, WindowedCollector,
     };
     pub use workloads::{Benchmark, FileMode, Scale, TraceFileWorkload, WorkloadSource};

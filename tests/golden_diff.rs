@@ -6,7 +6,9 @@
 //! the pre-optimization simulator; the optimized hot path must reproduce
 //! each one **byte-identically** — any drift in replacement decisions,
 //! float accumulation order, interleaving, or counter bookkeeping fails
-//! here before it can silently skew a figure.
+//! here before it can silently skew a figure. Six *arm* snapshots add the
+//! configurations that matrix never reaches: the exact table (period 1),
+//! the exclusive and hybrid policies, and the prefetch filter.
 //!
 //! Regenerate (only when an *intentional* semantic change is made, with a
 //! PR note explaining why):
