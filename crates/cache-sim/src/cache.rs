@@ -6,7 +6,8 @@ use crate::replacement::ReplacerState;
 
 const ENTRY_VALID: u64 = 1;
 const ENTRY_DIRTY: u64 = 1 << 1;
-const ENTRY_TAG_SHIFT: u32 = 2;
+/// First bit above the flags: the core-valid field (shared LLC) or the tag.
+const ENTRY_FLAG_BITS: u32 = 2;
 
 /// Mask selecting the low `assoc` bits of a per-set validity word.
 #[inline]
@@ -50,12 +51,19 @@ pub struct Evicted {
 /// (see `sim`), which keeps this hot path minimal.
 ///
 /// Tag and metadata live in one contiguous word array — entry layout
-/// `tag << 2 | dirty << 1 | valid` — so the way-scan on every access is a
-/// single load, mask, and compare per way over one cache-resident stripe.
+/// `tag << (2 + cores) | owners << 2 | dirty << 1 | valid` — so the
+/// way-scan on every access is a single load, mask, and compare per way
+/// over one cache-resident stripe. `owners` is the shared LLC's core-valid
+/// field (bit `c` ⇔ core `c` may hold the block in its private levels);
+/// private caches have `cores = 0` and no such field.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geom: BlockGeometry,
     assoc: usize,
+    /// Bit position of the tag in an entry word: `2 + cores`.
+    tag_shift: u32,
+    /// Selects the `tag | valid` bits of an entry word, the lookup key.
+    key_mask: u64,
     entries: Vec<u64>,
     /// Per-set validity bitmask (bit `w` ⇔ way `w` valid), mirroring the
     /// valid bits in `entries`. Fills pick an invalid way from it in one
@@ -88,7 +96,23 @@ fn prefault<T: Copy>(v: &mut [T]) {
 impl Cache {
     /// Builds an empty cache from its configuration.
     pub fn new(config: CacheConfig) -> Self {
+        Self::with_owners(config, 0)
+    }
+
+    /// Builds an empty cache whose entries carry a `cores`-bit core-valid
+    /// field (the shared LLC of a `cores`-core hierarchy).
+    ///
+    /// # Panics
+    /// Panics when the entry word cannot hold the field beside the tag of
+    /// every 64-bit byte address: `cores > block_bits + set_bits - 2`.
+    pub(crate) fn with_owners(config: CacheConfig, cores: usize) -> Self {
         let geom = config.geometry();
+        let tag_bits = 64 - geom.block_bits - geom.set_bits;
+        assert!(
+            tag_bits as usize + ENTRY_FLAG_BITS as usize + cores <= 64,
+            "{cores} core-valid bits do not fit beside a {tag_bits}-bit tag"
+        );
+        let tag_shift = ENTRY_FLAG_BITS + cores as u32;
         let lines = (geom.sets() as usize) * config.assoc;
         assert!(config.assoc <= 64, "valid mask holds at most 64 ways");
         let mut entries = vec![0; lines];
@@ -98,6 +122,8 @@ impl Cache {
         Self {
             geom,
             assoc: config.assoc,
+            tag_shift,
+            key_mask: !((1u64 << tag_shift) - 1) | ENTRY_VALID,
             entries,
             valid,
             repl: ReplacerState::new(config.policy, geom.sets() as usize, config.assoc),
@@ -134,18 +160,18 @@ impl Cache {
     #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.assoc;
-        // Masking out the dirty bit leaves `tag | valid`: one compare
-        // answers "valid and tag matches" per way. The scan visits only
-        // the valid ways — a lookup in an empty set (the common case deep
-        // in a large, lightly loaded level) is a single mask load.
-        let want = (tag << ENTRY_TAG_SHIFT) | ENTRY_VALID;
+        // Masking out the dirty and core-valid bits leaves `tag | valid`:
+        // one compare answers "valid and tag matches" per way. The scan
+        // visits only the valid ways — a lookup in an empty set (the common
+        // case deep in a large, lightly loaded level) is a single mask load.
+        let want = (tag << self.tag_shift) | ENTRY_VALID;
         let mut m = self.valid[set];
         if m == way_mask(self.assoc) {
             // Full set — the steady state of a hot upper level, and the
             // case the L1-hit fast path takes on nearly every reference.
             // A straight scan beats per-way bit extraction here.
             for w in 0..self.assoc {
-                if self.entries[base + w] & !ENTRY_DIRTY == want {
+                if self.entries[base + w] & self.key_mask == want {
                     return Some(w);
                 }
             }
@@ -153,7 +179,7 @@ impl Cache {
         }
         while m != 0 {
             let w = m.trailing_zeros() as usize;
-            if self.entries[base + w] & !ENTRY_DIRTY == want {
+            if self.entries[base + w] & self.key_mask == want {
                 return Some(w);
             }
             m &= m - 1;
@@ -218,6 +244,51 @@ impl Cache {
     /// Inserts `block`, evicting a victim if the set is full. The block must
     /// not already be resident (enforced in debug builds).
     pub fn fill(&mut self, block: u64, dirty: bool) -> Option<Evicted> {
+        let flags = if dirty { ENTRY_DIRTY } else { 0 };
+        self.install(block, flags).map(|(v, _)| v)
+    }
+
+    /// Inserts clean `block` with only `core`'s core-valid bit set; like
+    /// [`Cache::fill`], but also reports the victim's core-valid mask.
+    pub(crate) fn fill_owned(&mut self, block: u64, core: usize) -> Option<(Evicted, u64)> {
+        debug_assert!((core as u32) < self.tag_shift - ENTRY_FLAG_BITS);
+        self.install(block, 1 << (ENTRY_FLAG_BITS + core as u32))
+    }
+
+    /// Sets `core`'s core-valid bit on resident `block`. Returns false
+    /// (and changes nothing) when the block is not resident.
+    pub(crate) fn add_owner(&mut self, block: u64, core: usize) -> bool {
+        debug_assert!((core as u32) < self.tag_shift - ENTRY_FLAG_BITS);
+        let set = self.geom.set_of(block) as usize;
+        match self.find_way(set, self.geom.tag_of(block)) {
+            Some(w) => {
+                self.entries[set * self.assoc + w] |= 1 << (ENTRY_FLAG_BITS + core as u32);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Core-valid mask of `block` (bit `c` ⇔ core `c`), or `None` when the
+    /// block is not resident.
+    pub(crate) fn owners(&self, block: u64) -> Option<u64> {
+        let set = self.geom.set_of(block) as usize;
+        let w = self.find_way(set, self.geom.tag_of(block))?;
+        Some(self.owner_field(self.entries[set * self.assoc + w]))
+    }
+
+    /// The core-valid field of an entry word: the bits between the dirty
+    /// flag and the tag.
+    #[inline]
+    fn owner_field(&self, entry: u64) -> u64 {
+        (entry & !self.key_mask) >> ENTRY_FLAG_BITS
+    }
+
+    /// Writes `block` with extra entry bits `flags` (dirty, core-valid)
+    /// into a free way or over the replacement victim, which it returns
+    /// with its core-valid mask.
+    #[inline]
+    fn install(&mut self, block: u64, flags: u64) -> Option<(Evicted, u64)> {
         let set = self.geom.set_of(block) as usize;
         let tag = self.geom.tag_of(block);
         debug_assert!(
@@ -225,7 +296,7 @@ impl Cache {
             "fill of already-resident block {block:#x}"
         );
         debug_assert!(
-            tag.leading_zeros() >= ENTRY_TAG_SHIFT,
+            tag.leading_zeros() >= self.tag_shift,
             "tag {tag:#x} does not leave room for the entry flag bits"
         );
         let base = set * self.assoc;
@@ -239,15 +310,14 @@ impl Cache {
                 let evicted = Evicted {
                     block: self
                         .geom
-                        .block_from_parts(old >> ENTRY_TAG_SHIFT, set as u64),
+                        .block_from_parts(old >> self.tag_shift, set as u64),
                     dirty: old & ENTRY_DIRTY != 0,
                 };
                 self.live_lines -= 1;
-                (w, Some(evicted))
+                (w, Some((evicted, self.owner_field(old))))
             }
         };
-        self.entries[base + way] =
-            (tag << ENTRY_TAG_SHIFT) | ENTRY_VALID | if dirty { ENTRY_DIRTY } else { 0 };
+        self.entries[base + way] = (tag << self.tag_shift) | ENTRY_VALID | flags;
         self.valid[set] |= 1 << way;
         self.repl.on_fill(set, way, self.assoc);
         self.live_lines += 1;
@@ -289,7 +359,7 @@ impl Cache {
         self.entries[base..base + self.assoc]
             .iter()
             .filter(|&&e| e & ENTRY_VALID != 0)
-            .map(move |&e| self.geom.block_from_parts(e >> ENTRY_TAG_SHIFT, set))
+            .map(move |&e| self.geom.block_from_parts(e >> self.tag_shift, set))
     }
 
     /// Iterates all resident block addresses (recalibration, diagnostics).
@@ -305,7 +375,7 @@ impl Cache {
                 let base = set * self.assoc;
                 BitIter(mask).map(move |w| {
                     self.geom
-                        .block_from_parts(self.entries[base + w] >> ENTRY_TAG_SHIFT, set as u64)
+                        .block_from_parts(self.entries[base + w] >> self.tag_shift, set as u64)
                 })
             })
     }
@@ -434,6 +504,36 @@ mod tests {
         // Set has a hole; filling must not evict tag 2.
         assert_eq!(c.fill(blk(3, 0), false), None);
         assert!(c.probe(blk(2, 0)));
+    }
+
+    #[test]
+    fn core_valid_bits_ride_beside_the_tag() {
+        let mut c = Cache::with_owners(CacheConfig::lru(512, 2, 64), 3);
+        assert_eq!(c.fill_owned(blk(1, 0), 2), None);
+        assert_eq!(c.owners(blk(1, 0)), Some(0b100));
+        assert!(c.add_owner(blk(1, 0), 0));
+        assert!(!c.add_owner(blk(2, 0), 1), "absent block gains no owner");
+        // Lookups, dirtiness and address reconstruction ignore the field.
+        assert!(c.access(blk(1, 0), true) && c.probe(blk(1, 0)));
+        assert_eq!(c.blocks_in_set(0).collect::<Vec<_>>(), vec![blk(1, 0)]);
+        c.fill_owned(blk(2, 0), 1);
+        let (ev, owners) = c.fill_owned(blk(3, 0), 1).unwrap();
+        assert_eq!(
+            ev,
+            Evicted {
+                block: blk(1, 0),
+                dirty: true
+            }
+        );
+        assert_eq!(owners, 0b101);
+        assert_eq!(c.owners(blk(3, 0)), Some(0b010));
+    }
+
+    #[test]
+    #[should_panic(expected = "core-valid bits")]
+    fn core_valid_field_must_fit_beside_the_tag() {
+        // 4 sets, 64-byte blocks: a 56-bit tag leaves room for 6 bits.
+        Cache::with_owners(CacheConfig::lru(512, 2, 64), 7);
     }
 
     #[test]

@@ -247,6 +247,22 @@ impl SimConfig {
     /// Validates cross-field constraints, returning a description of the
     /// first violation.
     pub fn validate(&self) -> Result<(), String> {
+        let cores = self.platform.cores;
+        if cores == 0 {
+            return Err("the platform needs at least one core".into());
+        }
+        // Each shared-LLC entry word holds one core-valid bit per core
+        // beside the tag of a 58-bit block address (64-byte blocks), so the
+        // tag must leave `cores` bits free: cores ≤ log2(LLC sets) + 4.
+        let llc = self.platform.llc();
+        let sets = llc.capacity_bytes / 64 / (llc.assoc as u64).max(1);
+        let max_cores = sets.max(1).ilog2() as usize + 4;
+        if cores > max_cores {
+            return Err(format!(
+                "{cores} cores exceed the {max_cores} core-valid bits a {sets}-set LLC \
+                 entry can hold"
+            ));
+        }
         if self.policy == InclusionPolicy::Exclusive
             && !matches!(self.mechanism, Mechanism::Base | Mechanism::Redhip)
         {
@@ -600,6 +616,30 @@ mod tests {
         c.cbf.counter_bits = 4;
         c.cbf.num_hashes = 0;
         assert!(c.validate().unwrap_err().contains("at least 1"));
+    }
+
+    #[test]
+    fn zero_cores_are_rejected() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Base);
+        c.platform.cores = 0;
+        assert!(c.validate().unwrap_err().contains("at least one core"));
+    }
+
+    #[test]
+    fn core_counts_the_llc_cannot_track_are_rejected() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Base);
+        // Demo scale: 8192 LLC sets → 13 + 4 = 17 core-valid bits.
+        c.platform.cores = 17;
+        assert!(c.validate().is_ok());
+        crate::System::new(c.clone());
+        c.platform.cores = 18;
+        assert!(c.validate().unwrap_err().contains("core-valid"));
+        // Table I: 65536 LLC sets → 20.
+        let mut c = SimConfig::new(energy_model::presets::table_i(), Mechanism::Redhip);
+        c.platform.cores = 20;
+        assert!(c.validate().is_ok());
+        c.platform.cores = 21;
+        assert!(c.validate().unwrap_err().contains("core-valid"));
     }
 
     #[test]

@@ -215,6 +215,31 @@ pub fn run_traces_with<O: SimObserver>(
     run_feeds_with(cfg, feeds, obs)
 }
 
+/// Picks the core to step next from the per-core clocks (finished cores
+/// at +inf): the lowest-index core holding the smallest clock, and the
+/// second-smallest clock, which equals the smallest on a tie. `None` when
+/// every clock is +inf.
+///
+/// The scan has no data-dependent branch. Clocks are non-negative or +inf,
+/// so their IEEE-754 bit patterns order as `u64`s, and each core costs a
+/// few integer compares and conditional moves. A strict `<` keeps the
+/// lowest index among equal clocks.
+#[inline]
+fn next_core(clk: &[f64]) -> Option<(usize, f64)> {
+    const INF: u64 = f64::INFINITY.to_bits();
+    let mut best = INF;
+    let mut next = INF;
+    let mut core = 0;
+    for (c, &v) in clk.iter().enumerate() {
+        let bits = v.to_bits();
+        let lower = bits < best;
+        next = next.min(best.max(bits));
+        core = if lower { c } else { core };
+        best = best.min(bits);
+    }
+    (best != INF).then(|| (core, f64::from_bits(next)))
+}
+
 /// Like [`run_feeds`], but reports telemetry to `obs` while running and
 /// returns it alongside the result.
 ///
@@ -240,33 +265,16 @@ pub fn run_feeds_with<O: SimObserver>(
     let mut scratch = Traversal::new();
 
     // Local mirror of the per-core clocks, with finished cores pinned at
-    // +inf so the argmin scan below is a branch-free sweep over one dense
-    // array: +inf loses every `<` comparison, which excludes a finished
-    // core from selection exactly as a skip would, and when everything is
-    // +inf no core is picked and the loop ends.
+    // +inf so that `next_core` is a sweep over one dense array: +inf never
+    // wins the minimum, which excludes a finished core from selection
+    // exactly as a skip would, and when everything is +inf the loop ends.
     let mut clk: Vec<f64> = system.clocks().to_vec();
 
-    loop {
-        // Advance the core with the smallest clock among unfinished cores
-        // (ties go to the lowest index). One scan also yields the second
-        // smallest clock: while the chosen core stays *strictly* below it,
-        // the scan would keep picking the same core, so it can be stepped
-        // in a batch without re-deriving the argmin per reference.
-        let mut core = usize::MAX;
-        let mut best = f64::INFINITY;
-        let mut next_best = f64::INFINITY;
-        for (c, &v) in clk.iter().enumerate() {
-            if v < best {
-                next_best = best;
-                best = v;
-                core = c;
-            } else if v < next_best {
-                next_best = v;
-            }
-        }
-        if core == usize::MAX {
-            break;
-        }
+    // Advance the core with the smallest clock among unfinished cores.
+    // While the chosen core stays *strictly* below the second-smallest
+    // clock, the scan would keep picking the same core, so it is stepped
+    // in a batch without re-deriving the argmin per reference.
+    while let Some((core, next_best)) = next_core(&clk) {
         loop {
             match traces[core].next() {
                 Some(mut rec) => {
@@ -350,6 +358,68 @@ mod tests {
                 2,
             )
         }))
+    }
+
+    /// The scheduler's scan before it went branch-free, kept as the
+    /// reference `next_core` must reproduce.
+    fn branchy_next_core(clk: &[f64]) -> Option<(usize, f64)> {
+        let mut core = usize::MAX;
+        let mut best = f64::INFINITY;
+        let mut next_best = f64::INFINITY;
+        for (c, &v) in clk.iter().enumerate() {
+            if v < best {
+                next_best = best;
+                best = v;
+                core = c;
+            } else if v < next_best {
+                next_best = v;
+            }
+        }
+        (core != usize::MAX).then_some((core, next_best))
+    }
+
+    #[test]
+    fn branch_free_scan_matches_the_branchy_reference() {
+        // A small pool of shared values makes exact ties (at the minimum
+        // and above it) common; +inf marks finished cores.
+        const POOL: [f64; 5] = [0.0, 1.5, 1.5000000000000002, 7.0, f64::MAX];
+        let mut x = 0x5eed_cafe_f00d_u64;
+        let mut rnd = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut clk = Vec::with_capacity(8);
+        let (mut ties, mut finished) = (0, 0);
+        for _ in 0..100_000 {
+            clk.clear();
+            let cores = 1 + (rnd() % 8) as usize;
+            for _ in 0..cores {
+                let r = rnd();
+                clk.push(match r % 10 {
+                    0..=1 => f64::INFINITY,
+                    2..=5 => POOL[(r >> 8) as usize % POOL.len()],
+                    _ => (r >> 11) as f64 * 0.25,
+                });
+            }
+            let want = branchy_next_core(&clk);
+            let got = next_core(&clk);
+            assert_eq!(
+                got.map(|(c, n)| (c, n.to_bits())),
+                want.map(|(c, n)| (c, n.to_bits())),
+                "clocks {clk:?}"
+            );
+            if let Some((core, next)) = want {
+                ties += usize::from(next == clk[core]);
+            } else {
+                finished += 1;
+            }
+        }
+        assert!(
+            ties > 1_000 && finished > 1_000,
+            "{ties} ties, {finished} all-finished"
+        );
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! the pre-optimization simulator; the optimized hot path must reproduce
 //! each one **byte-identically** — any drift in replacement decisions,
 //! float accumulation order, interleaving, or counter bookkeeping fails
-//! here before it can silently skew a figure. Six *arm* snapshots add the
+//! here before it can silently skew a figure. Eight *arm* snapshots add the
 //! configurations that matrix never reaches: the exact table (period 1),
-//! the exclusive and hybrid policies, and the prefetch filter.
+//! the exclusive and hybrid policies, the prefetch filter, and, on a
+//! shrunken LLC, the back-invalidation of LLC victims — priced, and with
+//! several cores owning one line.
 //!
 //! Regenerate (only when an *intentional* semantic change is made, with a
 //! PR note explaining why):
@@ -22,7 +24,7 @@ use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
 use minijson::ToJson;
 use prefetch::StrideConfig;
-use sim::{run_traces, CoreTrace, Mechanism, SimConfig};
+use sim::{run_traces, AccountingOptions, CoreTrace, Mechanism, SimConfig};
 use std::path::PathBuf;
 
 const MECHANISMS: [Mechanism; 8] = [
@@ -65,6 +67,22 @@ fn trace(workload: &str, core: usize) -> CoreTrace {
             3,
         )),
         "chase" => Box::new(PointerChase::new(0x3000_0000, 1 << 15, 64, seed, 0x600, 1)),
+        // One stream that every core touches at the same physical
+        // addresses: each core's copy is pre-XORed with that core's page
+        // scramble (`core_physical` in `sim::run`, an involution), so with
+        // `address_space_bit = 0` all cores share every block. One
+        // reference per block, so the footprint outgrows a small LLC.
+        "shared_stream" => {
+            let scramble = (core as u64).wrapping_mul(0x9e37_79b9) & 0x03ff_ffff;
+            Box::new(
+                SequentialStream::new(Region::new(0x1000_0000, 4 << 20), 64, 0x400, 7, 2).map(
+                    move |mut r| {
+                        r.addr ^= scramble << 12;
+                        r
+                    },
+                ),
+            )
+        }
         other => panic!("unknown golden workload {other}"),
     }
 }
@@ -164,7 +182,14 @@ fn stride_prefetch(cfg: &mut SimConfig) {
     cfg.prefetch = Some(StrideConfig::default());
 }
 
-const ARMS: [Arm; 6] = [
+/// Shrinks the LLC to 1 MB (1024 sets × 16 ways). At the demo-scale 8 MB
+/// no other golden run ever evicts an LLC line, so without this the
+/// back-invalidation of the inclusive LLC would go unpinned.
+fn small_llc(cfg: &mut SimConfig) {
+    cfg.platform.levels.last_mut().unwrap().capacity_bytes = 1 << 20;
+}
+
+const ARMS: [Arm; 8] = [
     Arm {
         name: "zipf_ReDHiP_period1",
         workload: "zipf",
@@ -223,6 +248,37 @@ const ARMS: [Arm; 6] = [
         ran: &[
             ("prefetch", "issued", 23_994),
             ("prefetch", "predictor_filtered", 0),
+        ],
+    },
+    Arm {
+        name: "zipf_ReDHiP_charged",
+        workload: "zipf",
+        mechanism: Mechanism::Redhip,
+        configure: |cfg| {
+            small_llc(cfg);
+            cfg.accounting = AccountingOptions {
+                charge_fills: true,
+                charge_writebacks: true,
+                charge_invalidation_probes: true,
+            };
+        },
+        ran: &[("hierarchy", "memory_writebacks", 352)],
+    },
+    Arm {
+        name: "shared_stream_ReDHiP_prefetch",
+        workload: "shared_stream",
+        mechanism: Mechanism::Redhip,
+        configure: |cfg| {
+            small_llc(cfg);
+            stride_prefetch(cfg);
+            cfg.address_space_bit = 0;
+            // 24k distinct blocks, each touched by both cores, outgrow the
+            // 16k-line LLC.
+            cfg.refs_per_core = 2 * REFS_PER_CORE;
+        },
+        ran: &[
+            ("prefetch", "issued", 47_998),
+            ("prefetch", "already_resident", 2_810),
         ],
     },
 ];
