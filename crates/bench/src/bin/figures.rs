@@ -5,38 +5,91 @@
 //!         [--jobs N] [--cache] [--cache-dir DIR]
 //!         [--metrics[=FILE]]
 //!
-//! TARGETS: all (default) | table1 | fig1 | fig6..fig15 | core (fig6-10)
-//!          | sweeps (fig11-13) | prefetch (fig14-15) | ablations
+//! TARGETS: all (default) | table1 | fig1 | fig6..fig15 | core (table1,
+//!          fig1, fig6-10) | sweeps (fig11-13) | prefetch (fig14-15)
+//!          | ablations (every ablate_* output) | ablate_cbf_width
+//!          | ablate_recalib_banking | ablate_entry_width
+//!          | ablate_accounting | ablate_replacement
 //!          | shootout (every non-Base mechanism incl. the registry
 //!            contenders: speedup + normalized dynamic energy)
 //! ```
 //!
-//! Every requested figure's cells are enumerated into ONE deduplicated job
-//! graph and run on the work-stealing sweep engine, so a cell shared by
-//! several figures (e.g. the Base runs of Figures 6–12) is simulated
-//! exactly once. `--jobs N` (or `REDHIP_JOBS`) sets the worker count;
-//! output is byte-identical regardless. `--cache` memoizes results on disk
-//! under `DIR/cache/` so re-runs skip finished cells.
+//! Any other target is an error (exit 2). Every requested figure's cells
+//! are enumerated into ONE deduplicated job graph and run on the
+//! work-stealing sweep engine, so a cell shared by several figures (e.g.
+//! the Base runs of Figures 6–12) is simulated exactly once. `--jobs N`
+//! (or `REDHIP_JOBS`) sets the worker count; output is byte-identical
+//! regardless. `--cache` memoizes results on disk under `DIR/cache/` so
+//! re-runs skip finished cells.
 //!
 //! Text renders to stdout and is mirrored to `DIR/figures.log`;
 //! structured results land in `DIR/<name>.json` (default `results/`) —
-//! no shell redirection into the repo root needed.
+//! no shell redirection into the repo root needed. An invalid
+//! configuration (e.g. `--refs 0`) or an unwritable output path is
+//! reported with its cause and exits 1.
 
-use bench::figures::{self, FigureOutput, Settings};
+use bench::figures::{self, FigureOutput, Settings, StudyPlan};
 use bench::harness::FigureScale;
 use bench::{ablate, figdata};
 use std::collections::BTreeSet;
-use std::io::Write;
-use std::path::PathBuf;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use sweep::{default_jobs, ResultCache, SweepEngine, SweepPlan};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [all|core|sweeps|prefetch|ablations|shootout|table1|fig1|fig6..fig15]... \
-         [--scale smoke|demo|paper] [--refs N] [--out DIR] [--jobs N] \
+        "usage: figures [all|core|sweeps|prefetch|ablations|shootout|table1|fig1|fig6..fig15\
+         |ablate_cbf_width|ablate_recalib_banking|ablate_entry_width|ablate_accounting\
+         |ablate_replacement]... [--scale smoke|demo|paper] [--refs N] [--out DIR] [--jobs N] \
          [--cache] [--cache-dir DIR] [--metrics[=FILE]]"
     );
     std::process::exit(2);
+}
+
+type Planner = fn(&Settings, &mut SweepPlan) -> StudyPlan;
+
+/// Every parameter study as (target, group, planner), in report order.
+const STUDIES: [(&str, &str, Planner); 10] = [
+    ("fig11", "sweeps", figures::plan_fig11),
+    ("fig12", "sweeps", figures::plan_fig12),
+    ("fig13", "sweeps", figures::plan_fig13),
+    ("fig14", "prefetch", figures::plan_fig14),
+    ("fig15", "prefetch", figures::plan_fig15),
+    (
+        "ablate_cbf_width",
+        "ablations",
+        ablate::plan_cbf_counter_width,
+    ),
+    (
+        "ablate_recalib_banking",
+        "ablations",
+        ablate::plan_recalib_banking,
+    ),
+    ("ablate_entry_width", "ablations", ablate::plan_entry_width),
+    ("ablate_accounting", "ablations", ablate::plan_accounting),
+    ("ablate_replacement", "ablations", ablate::plan_replacement),
+];
+
+/// The Figure 6–10 matrix figures.
+const MATRIX_FIGURES: [&str; 5] = ["fig6", "fig7", "fig8", "fig9", "fig10"];
+
+/// Targets outside [`STUDIES`] and [`MATRIX_FIGURES`]: the groups, the
+/// shoot-out, and the two figures that need no sweep.
+const OTHER_TARGETS: [&str; 8] = [
+    "all",
+    "core",
+    "sweeps",
+    "prefetch",
+    "ablations",
+    "shootout",
+    "table1",
+    "fig1",
+];
+
+fn is_target(t: &str) -> bool {
+    STUDIES.iter().any(|&(name, _, _)| name == t)
+        || MATRIX_FIGURES.contains(&t)
+        || OTHER_TARGETS.contains(&t)
 }
 
 struct Args {
@@ -105,8 +158,12 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => usage(),
             t if t.starts_with('-') => usage(),
-            t => {
+            t if is_target(t) => {
                 targets.insert(t.to_string());
+            }
+            t => {
+                eprintln!("error: unknown target {t:?}");
+                usage();
             }
         }
     }
@@ -141,15 +198,21 @@ fn wants(args: &Args, name: &str, group: &str) -> bool {
     args.targets.contains("all") || args.targets.contains(name) || args.targets.contains(group)
 }
 
-fn emit(args: &Args, manifest: &metrics::RunManifest, f: &FigureOutput) {
+/// Names `path` in an I/O error, so the report says which file failed.
+fn at(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+fn emit(args: &Args, manifest: &metrics::RunManifest, f: &FigureOutput) -> io::Result<()> {
     println!("{}", f.text);
-    std::fs::create_dir_all(&args.out).expect("create results dir");
+    std::fs::create_dir_all(&args.out).map_err(at(&args.out))?;
+    let log_path = args.log_path();
     let mut log = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(args.log_path())
-        .expect("open figures.log");
-    writeln!(log, "{}", f.text).expect("append figures.log");
+        .open(&log_path)
+        .map_err(at(&log_path))?;
+    writeln!(log, "{}", f.text).map_err(at(&log_path))?;
     let path = args.out.join(format!("{}.json", f.name));
     // Object-shaped figures carry the run manifest (deterministic identity
     // fields only: results directories are byte-compared across --jobs);
@@ -162,9 +225,9 @@ fn emit(args: &Args, manifest: &metrics::RunManifest, f: &FigureOutput) {
         }
         other => other.clone(),
     };
-    let mut file = std::fs::File::create(&path).expect("create json");
-    file.write_all(doc.pretty().as_bytes()).expect("write json");
+    std::fs::write(&path, doc.pretty()).map_err(at(&path))?;
     eprintln!("[figures] wrote {}", path.display());
+    Ok(())
 }
 
 /// The figure-set run manifest: one deterministic identity record for the
@@ -191,11 +254,19 @@ fn run_manifest(args: &Args, settings: &Settings, plan: &SweepPlan) -> metrics::
 
 fn main() {
     let args = parse_args();
+    if let Err(e) = run(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let settings = Settings::new(args.scale, args.refs);
     let jobs = args.jobs.unwrap_or_else(default_jobs);
     // Fresh log per run; `emit` appends each figure as it lands.
-    std::fs::create_dir_all(&args.out).expect("create results dir");
-    std::fs::write(args.log_path(), "").expect("truncate figures.log");
+    std::fs::create_dir_all(&args.out).map_err(at(&args.out))?;
+    let log_path = args.log_path();
+    std::fs::write(&log_path, "").map_err(at(&log_path))?;
     eprintln!(
         "[figures] scale={:?} refs/core={} workloads={} jobs={} targets={:?}",
         args.scale,
@@ -213,33 +284,24 @@ fn main() {
     // Cells shared across figures dedupe here and are simulated once.
     let plan_span = metrics::PHASE_PLAN.start();
     let mut plan = SweepPlan::new();
-    let need_matrix = ["fig6", "fig7", "fig8", "fig9", "fig10"]
-        .iter()
-        .any(|n| wants(&args, n, "core"));
+    let need_matrix = MATRIX_FIGURES.iter().any(|n| wants(args, n, "core"));
     let matrix_plan = need_matrix.then(|| figures::plan_matrix(&settings, &mut plan));
     let shootout_plan =
-        wants(&args, "shootout", "shootout").then(|| figures::plan_shootout(&settings, &mut plan));
-    let p11 = wants(&args, "fig11", "sweeps").then(|| figures::plan_fig11(&settings, &mut plan));
-    let p12 = wants(&args, "fig12", "sweeps").then(|| figures::plan_fig12(&settings, &mut plan));
-    let p13 = wants(&args, "fig13", "sweeps").then(|| figures::plan_fig13(&settings, &mut plan));
-    let p1415 = (wants(&args, "fig14", "prefetch") || wants(&args, "fig15", "prefetch"))
-        .then(|| figures::plan_fig14_15(&settings, &mut plan));
-    let want_ablations = args.targets.contains("ablations") || args.targets.contains("all");
-    let ablation_settings = {
-        let mut s = settings.clone();
-        s.workloads = ablate::ablation_workloads();
-        s
-    };
-    let ablation_plan = want_ablations.then(|| ablate::plan_all(&ablation_settings, &mut plan));
+        wants(args, "shootout", "shootout").then(|| figures::plan_shootout(&settings, &mut plan));
+    let studies: Vec<StudyPlan> = STUDIES
+        .iter()
+        .filter(|&&(name, group, _)| wants(args, name, group))
+        .map(|&(_, _, planner)| planner(&settings, &mut plan))
+        .collect();
     drop(plan_span);
-    let manifest = run_manifest(&args, &settings, &plan);
+    let manifest = run_manifest(args, &settings, &plan);
 
-    if wants(&args, "table1", "core") {
-        emit(&args, &manifest, &figures::table1(args.scale));
+    if wants(args, "table1", "core") {
+        emit(args, &manifest, &figures::table1(args.scale))?;
     }
-    if wants(&args, "fig1", "core") {
+    if wants(args, "fig1", "core") {
         emit(
-            &args,
+            args,
             &manifest,
             &FigureOutput {
                 name: "fig1",
@@ -252,7 +314,7 @@ fn main() {
                         .collect(),
                 ),
             },
-        );
+        )?;
     }
 
     // Phase 2: one engine, one run over the whole deduplicated job graph.
@@ -266,60 +328,31 @@ fn main() {
         plan.len(),
         plan.dedup_hits()
     );
-    let res = match engine.run(&plan, "[figures] sweep") {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("[figures] {e}");
-            std::process::exit(1);
-        }
-    };
+    let res = engine.run(&plan, "[figures] sweep")?;
 
     // Phase 3: render and emit in report order.
     let render_span = metrics::PHASE_RENDER.start();
     if let Some(mp) = &matrix_plan {
         let m = figures::matrix_from(&settings, mp, &res);
-        if wants(&args, "fig6", "core") {
-            emit(&args, &manifest, &figures::fig6(&m));
-        }
-        if wants(&args, "fig7", "core") {
-            emit(&args, &manifest, &figures::fig7(&m));
-        }
-        if wants(&args, "fig8", "core") {
-            emit(&args, &manifest, &figures::fig8(&m));
-        }
-        if wants(&args, "fig9", "core") {
-            emit(&args, &manifest, &figures::fig9(&m));
-        }
-        if wants(&args, "fig10", "core") {
-            emit(&args, &manifest, &figures::fig10(&m));
+        let renderers: [fn(&figures::Matrix) -> FigureOutput; 5] = [
+            figures::fig6,
+            figures::fig7,
+            figures::fig8,
+            figures::fig9,
+            figures::fig10,
+        ];
+        for (name, render) in MATRIX_FIGURES.iter().zip(renderers) {
+            if wants(args, name, "core") {
+                emit(args, &manifest, &render(&m))?;
+            }
         }
     }
     if let Some(sp) = &shootout_plan {
         let m = figures::matrix_from(&settings, sp, &res);
-        emit(&args, &manifest, &figures::shootout(&m));
+        emit(args, &manifest, &figures::shootout(&m))?;
     }
-    if let Some(p) = &p11 {
-        emit(&args, &manifest, &figures::fig11_from(&settings, p, &res));
-    }
-    if let Some(p) = &p12 {
-        emit(&args, &manifest, &figures::fig12_from(&settings, p, &res));
-    }
-    if let Some(p) = &p13 {
-        emit(&args, &manifest, &figures::fig13_from(&settings, p, &res));
-    }
-    if let Some(p) = &p1415 {
-        let (f14, f15) = figures::fig14_15_from(&settings, p, &res);
-        if wants(&args, "fig14", "prefetch") {
-            emit(&args, &manifest, &f14);
-        }
-        if wants(&args, "fig15", "prefetch") {
-            emit(&args, &manifest, &f15);
-        }
-    }
-    if let Some(p) = &ablation_plan {
-        for f in ablate::all_from(&ablation_settings, p, &res) {
-            emit(&args, &manifest, &f);
-        }
+    for study in &studies {
+        emit(args, &manifest, &study.render(&res))?;
     }
     drop(render_span);
     eprintln!("[figures] {}", res.stats.summary());
@@ -329,10 +362,11 @@ fn main() {
         let mut out = metrics::snapshot_jsonl();
         out.push_str(&manifest.to_json_with_phases().dump());
         out.push('\n');
-        std::fs::write(path, out).expect("write metrics");
+        std::fs::write(path, out).map_err(at(path))?;
         eprintln!(
             "[figures] wrote {} (metrics snapshot + run manifest)",
             path.display()
         );
     }
+    Ok(())
 }

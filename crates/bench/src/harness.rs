@@ -1,12 +1,11 @@
-//! Shared experiment plumbing: configs, per-workload runs, sweep plans.
+//! Shared experiment plumbing: scales, configs, per-workload runs.
 //!
-//! Parallel execution rides on the `sweep` crate's work-stealing pool;
-//! worker counts honor `REDHIP_JOBS` (see [`sweep::default_jobs`]).
+//! Figure sets run on the `sweep` crate's work-stealing engine; worker
+//! counts honor `REDHIP_JOBS` (see [`sweep::default_jobs`]).
 
 use energy_model::presets::{demo_scale, table_i};
 use energy_model::PlatformSpec;
 use sim::{run_traces, run_traces_with, Mechanism, RunResult, SimConfig, SimObserver};
-use sweep::{SweepEngine, SweepPlan, SweepResults};
 use workloads::{Benchmark, Scale};
 
 /// Which platform/workload scale an experiment runs at.
@@ -94,15 +93,6 @@ pub fn run_workload_with<O: SimObserver>(
         .map(|core| benchmark.trace(core, ws))
         .collect();
     run_traces_with(&cfg, traces, obs)
-}
-
-/// Runs a single-figure [`SweepPlan`] immediately on a default engine —
-/// the compatibility path for callers that want one figure without
-/// assembling the whole-figure-set job graph themselves.
-pub fn run_plan(plan: &SweepPlan, label: &str) -> SweepResults {
-    SweepEngine::new(sweep::default_jobs())
-        .run(plan, label)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

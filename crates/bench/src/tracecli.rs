@@ -35,7 +35,7 @@
 //! ```
 
 use crate::harness::{mechanism_config, FigureScale};
-use mem_trace::codec::{ChunkWriter, DEFAULT_CHUNK_TARGET};
+use mem_trace::codec::{ChunkWriter, WriteSummary, DEFAULT_CHUNK_TARGET};
 use mem_trace::import::import_lackey;
 use mem_trace::stream::{write_v2_file, StreamTrace};
 use mem_trace::TraceIoError;
@@ -49,6 +49,12 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("run `redhip-sim --help` (trace subcommands are documented in tracecli.rs)");
     std::process::exit(2);
+}
+
+/// Reports a failure to write `path` and exits 1.
+fn write_failed(path: &str, e: impl std::fmt::Display) -> ! {
+    eprintln!("error: writing {path}: {e}");
+    std::process::exit(1);
 }
 
 /// Entry point: `args` are everything after the literal `trace`.
@@ -136,21 +142,9 @@ fn record(args: Vec<String>) {
     );
     let started = Instant::now();
     let ws = scale.workload_scale();
-    let mut streams: Vec<_> = (0..cores).map(|c| benchmark.trace(c, ws)).collect();
-    let sink = std::io::BufWriter::new(
-        std::fs::File::create(&out).unwrap_or_else(|e| usage(&format!("cannot create {out}: {e}"))),
-    );
-    let mut w = ChunkWriter::with_chunk_target(sink, chunk).expect("write header");
-    'outer: for _ in 0..refs {
-        for s in streams.iter_mut() {
-            // Generators are endless; a None (a short custom stream) just
-            // ends the recording at a full round so shards stay aligned.
-            let Some(r) = s.next() else { break 'outer };
-            w.push(r).expect("write chunk");
-        }
-    }
-    let (sink, summary) = w.finish().expect("write footer");
-    sink.into_inner().expect("flush").sync_all().ok();
+    let streams = (0..cores).map(|c| benchmark.trace(c, ws)).collect();
+    let summary =
+        write_recording(&out, streams, refs, chunk).unwrap_or_else(|e| write_failed(&out, e));
     let secs = started.elapsed().as_secs_f64();
     eprintln!(
         "[trace record] {} records, {} chunks, {} bytes ({:.1} MB/s) in {secs:.2}s",
@@ -159,6 +153,29 @@ fn record(args: Vec<String>) {
         summary.file_bytes,
         summary.file_bytes as f64 / 1e6 / secs.max(1e-9)
     );
+}
+
+/// Writes `refs` rounds of one record per stream to a v2 file at `out`,
+/// synced to disk.
+fn write_recording(
+    out: &str,
+    mut streams: Vec<workloads::DynTrace>,
+    refs: usize,
+    chunk: u32,
+) -> std::io::Result<WriteSummary> {
+    let sink = std::io::BufWriter::new(std::fs::File::create(out)?);
+    let mut w = ChunkWriter::with_chunk_target(sink, chunk)?;
+    'outer: for _ in 0..refs {
+        for s in streams.iter_mut() {
+            // Generators are endless; a None (a short custom stream) just
+            // ends the recording at a full round so shards stay aligned.
+            let Some(r) = s.next() else { break 'outer };
+            w.push(r)?;
+        }
+    }
+    let (sink, summary) = w.finish()?;
+    sink.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+    Ok(summary)
 }
 
 fn convert(args: Vec<String>) {
@@ -199,7 +216,7 @@ fn convert(args: Vec<String>) {
             }
             Err(e) => usage(&format!("{input}: {e}")),
         }
-        .unwrap_or_else(|e| usage(&format!("writing {out}: {e}")))
+        .unwrap_or_else(|e| write_failed(&out, e))
     } else {
         let file = std::fs::File::open(&input)
             .unwrap_or_else(|e| usage(&format!("cannot open {input}: {e}")));
@@ -378,7 +395,7 @@ fn replay(args: Vec<String>) {
         secs
     );
     if let Some(path) = json_path {
-        std::fs::write(&path, result.to_json().pretty()).expect("write json");
+        std::fs::write(&path, result.to_json().pretty()).unwrap_or_else(|e| write_failed(&path, e));
         eprintln!("[trace replay] wrote {path}");
     }
 }

@@ -155,8 +155,9 @@ impl SweepResults {
     }
 }
 
-/// A sweep failed (a cell panicked). The pool shuts down cleanly and the
-/// first panic is carried here.
+/// A sweep failed: a planned cell has an invalid config, or a cell
+/// panicked (the pool shuts down cleanly and the first panic is carried
+/// here).
 #[derive(Debug, Clone)]
 pub struct SweepError {
     /// Human-readable cause.
@@ -229,12 +230,24 @@ impl SweepEngine {
     }
 
     /// Runs every cell of `plan` (cache hits excepted) and returns the
-    /// deterministically merged results.
+    /// deterministically merged results. A cell whose config fails
+    /// [`SimConfig::validate`] is an error before any cell runs.
     ///
     /// Scheduling is cost-aware: cells are seeded to the pool longest
     /// expected first ([`CellSpec::cost`]), so the tail of the sweep is
     /// short cells, not one late-started straggler.
     pub fn run(&self, plan: &SweepPlan, label: &str) -> Result<SweepResults, SweepError> {
+        for (id, spec) in plan.cells.iter().enumerate() {
+            spec.cfg.validate().map_err(|e| {
+                let m = spec.manifest();
+                SweepError {
+                    message: format!(
+                        "cell {id} ({} on {}): invalid SimConfig: {e}",
+                        m.mechanism, m.workload
+                    ),
+                }
+            })?;
+        }
         let started = Instant::now();
         let n = plan.cells.len();
         let hits_before = self.cache.counters.hits();
@@ -408,6 +421,18 @@ mod tests {
         // refs accounting covers only what actually ran.
         let expected: u64 = r.all().iter().map(|x| x.total_refs()).sum();
         assert_eq!(r.stats.refs_simulated, expected);
+    }
+
+    #[test]
+    fn invalid_cell_is_an_error_naming_the_cell() {
+        let mut p = smoke_plan();
+        p.cell(&cfg(Mechanism::Redhip, 0), Benchmark::Lbm, Scale::Smoke);
+        let engine = SweepEngine::new(2).quiet();
+        let err = engine.run(&p, "t").unwrap_err().to_string();
+        assert!(err.contains("cell 6 (ReDHiP on lbm)"), "{err}");
+        assert!(err.contains("refs_per_core must be positive"), "{err}");
+        // Nothing ran: the valid cells are not in the cache.
+        assert_eq!(engine.cache().counters.misses.load(Ordering::Relaxed), 0);
     }
 
     #[test]

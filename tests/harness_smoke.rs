@@ -2,8 +2,9 @@
 //! produces well-formed output at smoke scale. (The real runs live in the
 //! `figures` binary; see EXPERIMENTS.md.)
 
-use bench::figures::{self, Settings};
+use bench::figures::{self, FigureOutput, Settings, StudyPlan};
 use bench::harness::FigureScale;
+use sweep::{SweepEngine, SweepPlan, SweepResults};
 use workloads::Benchmark;
 
 fn settings() -> Settings {
@@ -12,10 +13,30 @@ fn settings() -> Settings {
     s
 }
 
+fn sweep(plan: &SweepPlan) -> SweepResults {
+    SweepEngine::new(2)
+        .quiet()
+        .run(plan, "[test]")
+        .expect("sweep runs")
+}
+
+/// Plans `planners` into one sweep, runs it, and renders each study.
+fn studies(
+    s: &Settings,
+    planners: &[fn(&Settings, &mut SweepPlan) -> StudyPlan],
+) -> Vec<FigureOutput> {
+    let mut plan = SweepPlan::new();
+    let plans: Vec<StudyPlan> = planners.iter().map(|p| p(s, &mut plan)).collect();
+    let res = sweep(&plan);
+    plans.iter().map(|p| p.render(&res)).collect()
+}
+
 #[test]
 fn figures_6_through_10_from_one_matrix() {
     let s = settings();
-    let m = figures::run_matrix(&s);
+    let mut plan = SweepPlan::new();
+    let mp = figures::plan_matrix(&s, &mut plan);
+    let m = figures::matrix_from(&s, &mp, &sweep(&plan));
     let outs = [
         figures::fig6(&m),
         figures::fig7(&m),
@@ -43,19 +64,25 @@ fn figures_6_through_10_from_one_matrix() {
 fn sweep_figures_have_expected_axes() {
     let mut s = settings();
     s.workloads = vec![Benchmark::Mcf];
-    let f11 = figures::fig11(&s);
-    assert_eq!(f11.json["sizes_bytes"].as_array().unwrap().len(), 6);
-    let f12 = figures::fig12(&s);
-    assert_eq!(f12.json["periods_l1_misses"].as_array().unwrap().len(), 7);
-    let f13 = figures::fig13(&s);
-    assert_eq!(f13.json["policies"].as_array().unwrap().len(), 3);
+    let f = studies(
+        &s,
+        &[
+            figures::plan_fig11,
+            figures::plan_fig12,
+            figures::plan_fig13,
+        ],
+    );
+    assert_eq!(f[0].json["sizes_bytes"].as_array().unwrap().len(), 6);
+    assert_eq!(f[1].json["periods_l1_misses"].as_array().unwrap().len(), 7);
+    assert_eq!(f[2].json["policies"].as_array().unwrap().len(), 3);
 }
 
 #[test]
 fn prefetch_figures_pair() {
     let mut s = settings();
     s.workloads = vec![Benchmark::Bwaves];
-    let (f14, f15) = figures::fig14_15(&s);
+    let f = studies(&s, &[figures::plan_fig14, figures::plan_fig15]);
+    let (f14, f15) = (&f[0], &f[1]);
     assert_eq!(f14.json["configs"].as_array().unwrap().len(), 3);
     assert_eq!(f15.json["configs"].as_array().unwrap().len(), 3);
     // The stride-friendly workload must actually issue prefetches: SP-only
