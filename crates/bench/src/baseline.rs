@@ -90,8 +90,9 @@ pub fn measure(opts: &BenchOptions) -> Json {
         }));
     }
     // Sweep-level aggregate: all five mechanisms as one deduplicated job
-    // graph on the work-stealing engine. A fresh engine per sample keeps
-    // the memoizing cache from short-circuiting the later samples.
+    // graph on the sweep engine's `jobs` workers. A fresh engine per
+    // sample keeps the memoizing cache from short-circuiting the later
+    // samples.
     let jobs = opts.jobs.max(1);
     let mut best_sweep = f64::INFINITY;
     for _ in 0..opts.samples.max(1) {

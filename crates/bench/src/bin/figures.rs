@@ -15,8 +15,8 @@
 //! ```
 //!
 //! Any other target is an error (exit 2). Every requested figure's cells
-//! are enumerated into ONE deduplicated job graph and run on the
-//! work-stealing sweep engine, so a cell shared by several figures (e.g.
+//! are enumerated into ONE deduplicated job graph and run by the sweep
+//! engine's workers, so a cell shared by several figures (e.g.
 //! the Base runs of Figures 6–12) is simulated exactly once. `--jobs N`
 //! (or `REDHIP_JOBS`) sets the worker count; output is byte-identical
 //! regardless. `--cache` memoizes results on disk under `DIR/cache/` so

@@ -62,6 +62,15 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Writes `contents` to `path`, or exits 1 naming the path and the OS
+/// error.
+fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     // `redhip-sim trace <record|convert|info|replay> ...` dispatches to the
     // trace toolchain before the flag parser sees anything.
@@ -225,7 +234,7 @@ fn main() {
             bench_opts.benchmark, bench_opts.refs_per_core, bench_opts.samples
         );
         let doc = bench::baseline::measure(&bench_opts);
-        std::fs::write(&path, doc.pretty()).expect("write bench json");
+        write_or_exit(&path, doc.pretty());
         eprintln!("[redhip-sim] wrote {path}");
         print!("{}", bench::baseline::render(&doc));
         return;
@@ -272,7 +281,7 @@ fn main() {
         let collector = WindowedCollector::new(window, cfg.platform.levels.len());
         let obs = Tee::new(collector, heartbeat());
         let (result, obs) = run_workload_with(&cfg, benchmark, scale, obs);
-        std::fs::write(path, obs.a.to_jsonl()).expect("write telemetry");
+        write_or_exit(path, obs.a.to_jsonl());
         eprintln!(
             "[redhip-sim] wrote {path} ({} windows, {} recalibration markers)",
             obs.a.windows().count(),
@@ -304,7 +313,7 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        std::fs::write(&path, result.to_json().pretty()).expect("write json");
+        write_or_exit(&path, result.to_json().pretty());
         eprintln!("[redhip-sim] wrote {path}");
     }
 
@@ -315,7 +324,7 @@ fn main() {
         let mut out = metrics::snapshot_jsonl();
         out.push_str(&manifest.to_json_with_phases().dump());
         out.push('\n');
-        std::fs::write(&path, out).expect("write metrics");
+        write_or_exit(&path, out);
         eprintln!("[redhip-sim] wrote {path} (metrics snapshot + run manifest)");
     }
 }

@@ -1,7 +1,8 @@
 //! Shared experiment plumbing: scales, configs, per-workload runs.
 //!
-//! Figure sets run on the `sweep` crate's work-stealing engine; worker
-//! counts honor `REDHIP_JOBS` (see [`sweep::default_jobs`]).
+//! Figure sets run on the `sweep` crate's engine, whose workers claim
+//! cells from one shared cursor; worker counts honor `REDHIP_JOBS` (see
+//! [`sweep::default_jobs`]).
 
 use energy_model::presets::{demo_scale, table_i};
 use energy_model::PlatformSpec;

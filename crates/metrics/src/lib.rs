@@ -1,14 +1,13 @@
-//! Process-wide metrics registry: atomic counters, gauges, log2-bucket
-//! histograms, and span timers, plus the `redhip-metrics/v1` snapshot and
-//! the [`RunManifest`] run-identity record.
+//! Process-wide metrics registry: atomic counters and span timers, plus
+//! the `redhip-metrics/v1` snapshot and the [`RunManifest`] run-identity
+//! record.
 //!
 //! Everything is `std`-only and allocation-free on the record path. All
 //! metrics are defined *centrally* in this crate as `static` items (see
-//! the "registry" section below), so instrumented crates — the worker
-//! pool, the sweep engine, trace ingestion, the predictor registry —
-//! just call e.g. `metrics::POOL_STEALS.incr()` without any
-//! registration protocol, and the snapshot writer can enumerate every
-//! metric from one table.
+//! the "registry" section below), so instrumented crates — the sweep
+//! engine, trace ingestion, the predictor registry — just call e.g.
+//! `metrics::SWEEP_CACHE_HITS.add(n)` without any registration protocol,
+//! and the snapshot writer can enumerate every metric from one table.
 //!
 //! The registry is **disabled by default**: every record operation first
 //! loads one relaxed [`AtomicBool`] and returns, so uninstrumented runs
@@ -83,104 +82,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value gauge that also tracks its high-water mark.
-#[derive(Debug)]
-pub struct Gauge {
-    name: &'static str,
-    value: AtomicU64,
-    high: AtomicU64,
-}
-
-impl Gauge {
-    /// A new gauge named `name`.
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            value: AtomicU64::new(0),
-            high: AtomicU64::new(0),
-        }
-    }
-
-    /// Records the current value (and bumps the high-water mark).
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if enabled() {
-            self.value.store(v, Ordering::Relaxed);
-            self.high.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Last recorded value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Largest value ever recorded.
-    pub fn high(&self) -> u64 {
-        self.high.load(Ordering::Relaxed)
-    }
-}
-
-/// Number of histogram buckets: bucket `i` counts values whose bit length
-/// is `i` (so `[2^(i-1), 2^i)`), with everything `>= 2^62` folded into the
-/// last bucket and zero in bucket 0.
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// A fixed log2-bucket histogram.
-#[derive(Debug)]
-pub struct Histogram {
-    name: &'static str,
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Histogram {
-    /// A new histogram named `name`.
-    pub const fn new(name: &'static str) -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        Self {
-            name,
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: [ZERO; HISTOGRAM_BUCKETS],
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if enabled() {
-            let b = (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-            self.buckets[b].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Total number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples (mean = sum / count).
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((i, n))
-            })
-            .collect()
     }
 }
 
@@ -269,18 +170,13 @@ impl Drop for Span<'_> {
 // them from one table. Naming: `<subsystem>.<what>`, with phase timers
 // under `phase.*` (those become the manifest's phase-timing breakdown).
 
-/// Worker-thread count of the most recent pool run (high = max ever).
-pub static POOL_WORKERS: Gauge = Gauge::new("pool.workers");
-/// Jobs executed by pool workers (local pops + injector + steals).
-pub static POOL_JOBS: Counter = Counter::new("pool.jobs");
-/// Jobs obtained by stealing from another worker's deque.
+/// Always 0: the sweep engine runs cells from one shared cursor and
+/// steals nothing. Kept only because perfbench's `pool.steals` row reads
+/// it; delete it when the benchmark drops that row.
 pub static POOL_STEALS: Counter = Counter::new("pool.steals");
-/// Wall nanoseconds workers spent running jobs.
+/// Wall nanoseconds sweep workers spent running cells (simulate plus
+/// cache store), recorded once per simulated cell at every job count.
 pub static POOL_BUSY_NS: Counter = Counter::new("pool.busy_ns");
-/// Wall nanoseconds workers spent spinning/sleeping for work.
-pub static POOL_IDLE_NS: Counter = Counter::new("pool.idle_ns");
-/// Pending-job count sampled each time a worker looks for work.
-pub static POOL_QUEUE_DEPTH: Histogram = Histogram::new("pool.queue_depth");
 
 /// Sweep cells served from the result cache (memory or disk).
 pub static SWEEP_CACHE_HITS: Counter = Counter::new("sweep.cache_hits");
@@ -307,27 +203,21 @@ pub static PRED_MEMO_SKIPS: Counter = Counter::new("pred.memo_skips");
 
 /// Sweep planning (building the deduped job graph).
 pub static PHASE_PLAN: Timer = Timer::new("phase.plan");
-/// Simulation proper (the pool running cells, or a single run).
+/// Simulation proper (the sweep workers running cells, or a single run).
 pub static PHASE_SIMULATE: Timer = Timer::new("phase.simulate");
 /// Rendering figures/tables from simulated results.
 pub static PHASE_RENDER: Timer = Timer::new("phase.render");
 
 enum Metric {
     C(&'static Counter),
-    G(&'static Gauge),
-    H(&'static Histogram),
     T(&'static Timer),
 }
 
 fn registry() -> Vec<Metric> {
     use Metric::*;
     vec![
-        G(&POOL_WORKERS),
-        C(&POOL_JOBS),
         C(&POOL_STEALS),
         C(&POOL_BUSY_NS),
-        C(&POOL_IDLE_NS),
-        H(&POOL_QUEUE_DEPTH),
         C(&SWEEP_CACHE_HITS),
         C(&SWEEP_CACHE_MISSES),
         C(&SWEEP_CELLS_SIMULATED),
@@ -353,26 +243,6 @@ fn metric_json(m: &Metric) -> Json {
             "name": c.name,
             "value": c.get(),
         }),
-        Metric::G(g) => json!({
-            "kind": "gauge",
-            "name": g.name,
-            "value": g.get(),
-            "high": g.high(),
-        }),
-        Metric::H(h) => {
-            let buckets: Vec<Json> = h
-                .nonzero_buckets()
-                .into_iter()
-                .map(|(i, n)| json!([i as u64, n]))
-                .collect();
-            json!({
-                "kind": "histogram",
-                "name": h.name,
-                "count": h.count(),
-                "sum": h.sum(),
-                "buckets": Json::Arr(buckets),
-            })
-        }
         Metric::T(t) => json!({
             "kind": "timer",
             "name": t.name,
@@ -408,22 +278,6 @@ pub fn snapshot_text() -> String {
     for m in registry() {
         match m {
             Metric::C(c) => out.push_str(&format!("{:<24} {}\n", c.name, c.get())),
-            Metric::G(g) => {
-                out.push_str(&format!("{:<24} {} (high {})\n", g.name, g.get(), g.high()))
-            }
-            Metric::H(h) => {
-                let mean = if h.count() > 0 {
-                    h.sum() as f64 / h.count() as f64
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    "{:<24} n={} mean={:.1}\n",
-                    h.name,
-                    h.count(),
-                    mean
-                ));
-            }
             Metric::T(t) => out.push_str(&format!(
                 "{:<24} {:.3}s over {} span(s)\n",
                 t.name,
@@ -533,33 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_high_water() {
-        let _flag = hold_flag();
-        static G: Gauge = Gauge::new("test.gauge");
-        enable();
-        G.set(7);
-        G.set(3);
-        assert_eq!(G.get(), 3);
-        assert_eq!(G.high(), 7);
-    }
-
-    #[test]
-    fn histogram_buckets_by_bit_length() {
-        let _flag = hold_flag();
-        static H: Histogram = Histogram::new("test.hist");
-        enable();
-        let before = H.count();
-        H.record(0); // bucket 0
-        H.record(1); // bucket 1
-        H.record(9); // bucket 4
-        assert_eq!(H.count() - before, 3);
-        let buckets = H.nonzero_buckets();
-        assert!(buckets.iter().any(|&(i, _)| i == 0));
-        assert!(buckets.iter().any(|&(i, _)| i == 1));
-        assert!(buckets.iter().any(|&(i, _)| i == 4));
-    }
-
-    #[test]
     fn timer_spans_accumulate() {
         let _flag = hold_flag();
         static T: Timer = Timer::new("test.timer");
@@ -578,7 +405,7 @@ mod tests {
     fn snapshot_first_line_carries_schema() {
         let _flag = hold_flag();
         enable();
-        POOL_STEALS.incr();
+        SWEEP_CACHE_HITS.incr();
         let snap = snapshot_jsonl();
         let first = snap.lines().next().expect("header");
         let doc = minijson::parse(first).expect("header parses");
@@ -588,13 +415,10 @@ mod tests {
         // Every metric line parses and is one of the known kinds.
         for line in snap.lines().skip(1) {
             let m = minijson::parse(line).expect("metric line parses");
-            assert!(matches!(
-                m.str_of("kind").unwrap(),
-                "counter" | "gauge" | "histogram" | "timer"
-            ));
+            assert!(matches!(m.str_of("kind").unwrap(), "counter" | "timer"));
             assert!(!m.str_of("name").unwrap().is_empty());
         }
-        assert!(snapshot_text().contains("pool.steals"));
+        assert!(snapshot_text().contains("sweep.cache_hits"));
     }
 
     #[test]

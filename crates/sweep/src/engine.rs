@@ -4,8 +4,8 @@ use crate::cache::ResultCache;
 use crate::cell::CellSpec;
 use sim::{RunResult, SimConfig};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 use workloads::{Benchmark, Scale};
 
@@ -95,18 +95,19 @@ pub struct SweepStats {
     pub dedup_hits: u64,
     /// Unique cells answered from the memoizing cache (memory or disk).
     pub cache_hits: u64,
-    /// Unique cells actually simulated by the pool this run.
+    /// Unique cells actually simulated this run.
     pub simulated: u64,
     /// References simulated this run (excludes cache hits).
     pub refs_simulated: u64,
     /// Wall-clock of the run, seconds.
     pub wall_secs: f64,
-    /// Worker threads used.
+    /// Worker count allowed (`--jobs`); a run uses at most one worker per
+    /// simulated cell.
     pub jobs: usize,
 }
 
 impl SweepStats {
-    /// Aggregate simulation throughput over the whole pool, refs/s.
+    /// Aggregate simulation throughput over all workers, refs/s.
     pub fn aggregate_refs_per_sec(&self) -> f64 {
         if self.wall_secs > 0.0 {
             self.refs_simulated as f64 / self.wall_secs
@@ -155,9 +156,9 @@ impl SweepResults {
     }
 }
 
-/// A sweep failed: a planned cell has an invalid config, or a cell
-/// panicked (the pool shuts down cleanly and the first panic is carried
-/// here).
+/// A sweep failed before any cell ran: a planned cell has an invalid
+/// config. A panicking cell is a bug, not an error; it propagates out of
+/// [`SweepEngine::run`].
 #[derive(Debug, Clone)]
 pub struct SweepError {
     /// Human-readable cause.
@@ -233,9 +234,10 @@ impl SweepEngine {
     /// deterministically merged results. A cell whose config fails
     /// [`SimConfig::validate`] is an error before any cell runs.
     ///
-    /// Scheduling is cost-aware: cells are seeded to the pool longest
-    /// expected first ([`CellSpec::cost`]), so the tail of the sweep is
-    /// short cells, not one late-started straggler.
+    /// Scheduling is cost-aware: `min(jobs, misses)` workers, the calling
+    /// thread among them, claim cells from one shared cursor over the
+    /// misses sorted longest expected first ([`CellSpec::cost`]), so the
+    /// tail of the sweep is short cells, not one late-started straggler.
     pub fn run(&self, plan: &SweepPlan, label: &str) -> Result<SweepResults, SweepError> {
         for (id, spec) in plan.cells.iter().enumerate() {
             spec.cfg.validate().map_err(|e| {
@@ -252,8 +254,8 @@ impl SweepEngine {
         let n = plan.cells.len();
         let hits_before = self.cache.counters.hits();
 
-        // Resolve cache hits up front; only misses enter the pool.
-        let mut slots: Vec<Mutex<Option<RunResult>>> = Vec::with_capacity(n);
+        // Resolve cache hits up front; only misses are scheduled.
+        let mut slots: Vec<OnceLock<RunResult>> = Vec::with_capacity(n);
         let mut to_run: Vec<CellId> = Vec::new();
         for (id, spec) in plan.cells.iter().enumerate() {
             let cached = self
@@ -262,59 +264,56 @@ impl SweepEngine {
             if cached.is_none() {
                 to_run.push(id);
             }
-            slots.push(Mutex::new(cached));
+            slots.push(cached.map_or_else(OnceLock::new, OnceLock::from));
         }
         let cache_hits = self.cache.counters.hits() - hits_before;
         metrics::SWEEP_CACHE_HITS.add(cache_hits);
         metrics::SWEEP_CACHE_MISSES.add((n as u64).saturating_sub(cache_hits));
 
-        // Longest-expected-cell-first; ties break by id so the seed order
+        // Longest-expected-cell-first; ties break by id so the claim order
         // (though not the results — those are keyed by id) is stable.
         to_run.sort_by_key(|&id| (std::cmp::Reverse(plan.cells[id].cost()), id));
 
         let simulated = to_run.len() as u64;
         metrics::SWEEP_CELLS_SIMULATED.add(simulated);
         let _sim_span = metrics::PHASE_SIMULATE.start();
-        let ticks = AtomicU64::new(0);
         if !to_run.is_empty() {
-            let mut heart = telemetry::Heartbeat::new(label, "cells", to_run.len() as u64);
+            let mut heart = telemetry::Heartbeat::new(label, "cells", simulated);
             if self.quiet {
                 heart = heart.silent();
             }
-            let workers = self.jobs.min(to_run.len());
-            let run_cell = |k: usize| {
-                let id = to_run[k];
-                let spec = &plan.cells[id];
-                let result = spec.simulate();
-                self.cache.store(
-                    &spec.canonical_key(),
-                    spec.content_hash(),
-                    &result,
-                    Some(&spec.manifest()),
-                );
-                *slots[id].lock().expect("slot poisoned") = Some(result);
-            };
-            if workers <= 1 {
-                // Sequential fast path: same order, no threads.
-                for k in 0..to_run.len() {
-                    run_cell(k);
-                    ticks.fetch_add(1, Ordering::Relaxed);
-                    heart.set_done(ticks.load(Ordering::Relaxed));
+            let heart = Mutex::new(heart);
+            // `Relaxed` suffices: the cursor only hands out indices into
+            // the immutable `to_run`; results publish through the
+            // `OnceLock` slots and the scope's join.
+            let cursor = AtomicUsize::new(0);
+            let worker = || {
+                while let Some(&id) = to_run.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                    let spec = &plan.cells[id];
+                    let busy = metrics::enabled().then(Instant::now);
+                    let result = spec.simulate();
+                    self.cache.store(
+                        &spec.canonical_key(),
+                        spec.content_hash(),
+                        &result,
+                        Some(&spec.manifest()),
+                    );
+                    if let Some(t0) = busy {
+                        metrics::POOL_BUSY_NS.add(t0.elapsed().as_nanos() as u64);
+                    }
+                    assert!(slots[id].set(result).is_ok(), "cell {id} ran twice");
+                    heart.lock().expect("heartbeat poisoned").add(1);
                 }
-            } else {
-                let order: Vec<usize> = (0..to_run.len()).collect();
-                pool::run_ordered(
-                    workers,
-                    &order,
-                    &ticks,
-                    |done| heart.set_done(done),
-                    run_cell,
-                )
-                .map_err(|e| SweepError {
-                    message: e.to_string(),
-                })?;
-            }
-            heart.finish();
+            };
+            // The calling thread is one of the workers, so `--jobs 1`
+            // spawns no thread.
+            std::thread::scope(|s| {
+                for _ in 1..self.jobs.min(to_run.len()) {
+                    s.spawn(worker);
+                }
+                worker();
+            });
+            heart.into_inner().expect("heartbeat poisoned").finish();
         }
 
         let results: Vec<RunResult> = slots
@@ -322,7 +321,6 @@ impl SweepEngine {
             .enumerate()
             .map(|(id, s)| {
                 s.into_inner()
-                    .expect("slot poisoned")
                     .unwrap_or_else(|| panic!("cell {id} produced no result"))
             })
             .collect();
@@ -443,6 +441,49 @@ mod tests {
             .unwrap();
         assert_eq!(r.all().len(), 0);
         assert_eq!(r.stats.simulated, 0);
+    }
+
+    #[test]
+    fn more_jobs_than_cells_runs_each_cell_once() {
+        use minijson::ToJson;
+        let r1 = SweepEngine::new(1).quiet().run(&smoke_plan(), "t").unwrap();
+        let engine = SweepEngine::new(16).quiet();
+        let r16 = engine.run(&smoke_plan(), "t").unwrap();
+        assert_eq!(engine.cache().counters.misses.load(Ordering::Relaxed), 6);
+        assert_eq!(r16.stats.simulated, 6);
+        for (a, b) in r1.all().iter().zip(r16.all()) {
+            assert_eq!(a.to_json().pretty(), b.to_json().pretty());
+        }
+    }
+
+    #[test]
+    fn one_cell_plan_at_four_jobs() {
+        let mut p = SweepPlan::new();
+        let id = p.cell(&cfg(Mechanism::Redhip, 600), Benchmark::Mcf, Scale::Smoke);
+        let r = SweepEngine::new(4).quiet().run(&p, "t").unwrap();
+        assert_eq!(r.all().len(), 1);
+        assert_eq!(r.stats.simulated, 1);
+        assert_eq!(r.get(id).total_refs(), r.stats.refs_simulated);
+        assert!(r.stats.refs_simulated > 0);
+    }
+
+    #[test]
+    fn busy_time_is_recorded_at_every_job_count() {
+        // The registry is process-global and never reset, so each sweep is
+        // checked by its own before/after delta. Other tests may record
+        // too, which can only raise the counter.
+        metrics::enable();
+        for jobs in [1, 2] {
+            let before = metrics::POOL_BUSY_NS.get();
+            SweepEngine::new(jobs)
+                .quiet()
+                .run(&smoke_plan(), "t")
+                .unwrap();
+            assert!(
+                metrics::POOL_BUSY_NS.get() > before,
+                "--jobs {jobs} recorded no busy time"
+            );
+        }
     }
 
     #[test]

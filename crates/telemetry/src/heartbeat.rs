@@ -78,9 +78,10 @@ impl Heartbeat {
     }
 
     /// Sets the absolute completed count and emits a line if the rate
-    /// limit allows. This is the contention-free shape for parallel work:
-    /// workers tick a shared `AtomicU64` and a single reporting thread
-    /// drains it here, so job completion never takes a lock.
+    /// limit allows, for callers that keep their own count. Parallel
+    /// workers can instead share the heartbeat behind a `Mutex` and call
+    /// [`Heartbeat::add`] once per finished job, as the sweep engine does
+    /// (its cells take milliseconds, so the lock is never contended).
     ///
     /// Reaching a known total forces the final 100% line through the
     /// rate limiter — a run completing inside the last interval still

@@ -1,9 +1,9 @@
-//! Determinism guarantees of the work-stealing sweep engine.
+//! Determinism guarantees of the sweep engine.
 //!
 //! The engine's contract is that worker count is invisible in the output:
 //! `--jobs 1`, `--jobs 4` and the host default must produce byte-identical
-//! figure JSON, and routing the golden-diff cells through the pool must
-//! reproduce the committed snapshots exactly. The memoizing cache must
+//! figure JSON, and simulating the golden-diff cells on concurrent threads
+//! must reproduce the committed snapshots exactly. The memoizing cache must
 //! never change bytes either — a rehydrated result re-serializes
 //! identically — and repeated cells across figures are simulated once.
 
@@ -14,7 +14,7 @@ use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
 use minijson::ToJson;
 use sim::{run_traces, CoreTrace, Mechanism, SimConfig};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use sweep::{ResultCache, SweepEngine, SweepPlan};
 use workloads::Benchmark;
@@ -131,11 +131,7 @@ fn repeated_cells_are_simulated_exactly_once() {
     assert_eq!(first.stats.simulated, unique);
     assert_eq!(first.stats.cache_hits, 0);
     assert_eq!(
-        engine
-            .cache()
-            .counters
-            .misses
-            .load(std::sync::atomic::Ordering::Relaxed),
+        engine.cache().counters.misses.load(Ordering::Relaxed),
         unique
     );
     // Re-planning the same figures against the same engine touches the
@@ -166,23 +162,18 @@ fn disk_cache_rehydration_is_byte_identical() {
         .quiet();
     let (second, _, resimulated) = render_figure_set(&s, &warm);
     assert_eq!(resimulated, 0, "disk cache missed");
-    assert!(
-        warm.cache()
-            .counters
-            .disk_hits
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0
-    );
+    assert!(warm.cache().counters.disk_hits.load(Ordering::Relaxed) > 0);
     assert_eq!(first, second, "disk rehydration changed figure bytes");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ---- golden cells through the pool --------------------------------------
+// ---- golden cells on concurrent threads ----------------------------------
 //
 // Mirrors tests/golden_diff.rs (integration tests cannot import each
-// other): the same 15 cells, but executed by the work-stealing pool with 4
-// workers. The committed snapshots must be reproduced byte-identically —
-// the pool adds no nondeterminism to the simulator.
+// other): the same 24 cells (3 workloads × 8 mechanisms), but simulated
+// concurrently on 4 threads that claim cells from one shared cursor. The
+// committed snapshots must be reproduced byte-identically — concurrent
+// simulations in one process add no nondeterminism.
 
 const GOLDEN_MECHANISMS: [Mechanism; 8] = [
     Mechanism::Base,
@@ -228,7 +219,7 @@ fn golden_config(mechanism: Mechanism) -> SimConfig {
 }
 
 #[test]
-fn golden_cells_through_the_pool_match_committed_snapshots() {
+fn golden_cells_on_concurrent_threads_match_committed_snapshots() {
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden");
@@ -237,25 +228,24 @@ fn golden_cells_through_the_pool_match_committed_snapshots() {
         .flat_map(|&w| GOLDEN_MECHANISMS.iter().map(move |&m| (w, m)))
         .collect();
     let slots: Vec<Mutex<Option<String>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    let order: Vec<usize> = (0..cells.len()).collect();
-    let ticks = AtomicU64::new(0);
-    pool::run_ordered(
-        4,
-        &order,
-        &ticks,
-        |_| {},
-        |i| {
-            let (workload, mechanism) = cells[i];
-            let cfg = golden_config(mechanism);
-            let traces = (0..GOLDEN_CORES)
-                .map(|c| golden_trace(workload, c))
-                .collect();
-            let mut text = run_traces(&cfg, traces).to_json().pretty();
-            text.push('\n');
-            *slots[i].lock().expect("slot") = Some(text);
-        },
-    )
-    .expect("pool run");
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(workload, mechanism)) = cells.get(i) else {
+                    break;
+                };
+                let cfg = golden_config(mechanism);
+                let traces = (0..GOLDEN_CORES)
+                    .map(|c| golden_trace(workload, c))
+                    .collect();
+                let mut text = run_traces(&cfg, traces).to_json().pretty();
+                text.push('\n');
+                *slots[i].lock().expect("slot") = Some(text);
+            });
+        }
+    });
     for (i, (workload, mechanism)) in cells.iter().enumerate() {
         let name = format!("{workload}_{}.json", mechanism.name());
         let want = std::fs::read_to_string(dir.join(&name))
@@ -265,6 +255,6 @@ fn golden_cells_through_the_pool_match_committed_snapshots() {
             .expect("slot")
             .take()
             .expect("cell produced output");
-        assert!(want == got, "pooled run diverged from golden {name}");
+        assert!(want == got, "concurrent run diverged from golden {name}");
     }
 }
