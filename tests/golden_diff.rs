@@ -6,11 +6,11 @@
 //! the pre-optimization simulator; the optimized hot path must reproduce
 //! each one **byte-identically** — any drift in replacement decisions,
 //! float accumulation order, interleaving, or counter bookkeeping fails
-//! here before it can silently skew a figure. Eight *arm* snapshots add the
+//! here before it can silently skew a figure. Nine *arm* snapshots add the
 //! configurations that matrix never reaches: the exact table (period 1),
 //! the exclusive and hybrid policies, the prefetch filter, and, on a
-//! shrunken LLC, the back-invalidation of LLC victims — priced, and with
-//! several cores owning one line.
+//! shrunken LLC, the back-invalidation of LLC victims — priced, with
+//! several cores owning one line, and at 32 ways.
 //!
 //! Regenerate (only when an *intentional* semantic change is made, with a
 //! PR note explaining why):
@@ -189,7 +189,7 @@ fn small_llc(cfg: &mut SimConfig) {
     cfg.platform.levels.last_mut().unwrap().capacity_bytes = 1 << 20;
 }
 
-const ARMS: [Arm; 8] = [
+const ARMS: [Arm; 9] = [
     Arm {
         name: "zipf_ReDHiP_period1",
         workload: "zipf",
@@ -279,6 +279,20 @@ const ARMS: [Arm; 8] = [
         ran: &[
             ("prefetch", "issued", 47_998),
             ("prefetch", "already_resident", 2_810),
+        ],
+    },
+    Arm {
+        name: "zipf_ReDHiP_llc32way",
+        workload: "zipf",
+        mechanism: Mechanism::Redhip,
+        configure: |cfg| {
+            // 512 sets × 32 ways: the only golden LLC wider than 16 ways.
+            small_llc(cfg);
+            cfg.platform.levels.last_mut().unwrap().assoc = 32;
+        },
+        ran: &[
+            ("hierarchy", "memory_writebacks", 225),
+            ("hierarchy", "memory_fetches", 15_649),
         ],
     },
 ];
