@@ -56,6 +56,12 @@ pub struct Evicted {
 /// over one cache-resident stripe. `owners` is the shared LLC's core-valid
 /// field (bit `c` ⇔ core `c` may hold the block in its private levels);
 /// private caches have `cores = 0` and no such field.
+///
+/// Under LRU the entry order *is* the recency order: way 0 holds the most
+/// recently used line, the valid lines form a prefix of the set, and the
+/// victim is the last valid way. A hit or fill moves its line to way 0 and
+/// an invalidation closes the gap, so no replacement state exists beside
+/// the entries, and hot lines are found by the first compares of a scan.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geom: BlockGeometry,
@@ -66,11 +72,14 @@ pub struct Cache {
     key_mask: u64,
     entries: Vec<u64>,
     /// Per-set validity bitmask (bit `w` ⇔ way `w` valid), mirroring the
-    /// valid bits in `entries`. Fills pick an invalid way from it in one
-    /// bit-scan, and recalibration sweeps (`resident_blocks`) skip empty
-    /// sets wholesale instead of touching every entry word.
+    /// valid bits in `entries`; under LRU always a prefix `(1 << n) - 1`.
+    /// Fills find a free way from it in one bit-scan, and recalibration
+    /// sweeps (`resident_blocks`) skip empty sets wholesale instead of
+    /// touching every entry word.
     valid: Vec<u64>,
-    repl: ReplacerState,
+    /// State of a way-indexed policy; `None` under LRU, whose recency is
+    /// the entry order.
+    repl: Option<ReplacerState>,
     live_lines: u64,
 }
 
@@ -166,11 +175,12 @@ impl Cache {
         // case deep in a large, lightly loaded level) is a single mask load.
         let want = (tag << self.tag_shift) | ENTRY_VALID;
         let mut m = self.valid[set];
-        if m == way_mask(self.assoc) {
-            // Full set — the steady state of a hot upper level, and the
-            // case the L1-hit fast path takes on nearly every reference.
-            // A straight scan beats per-way bit extraction here.
-            for w in 0..self.assoc {
+        if m & m.wrapping_add(1) == 0 {
+            // The valid ways are a prefix: every LRU set, and any full set
+            // (the steady state of a hot upper level). A straight scan
+            // beats per-way bit extraction here, and under LRU it meets
+            // the most recently used lines first.
+            for w in 0..m.count_ones() as usize {
                 if self.entries[base + w] & self.key_mask == want {
                     return Some(w);
                 }
@@ -207,7 +217,9 @@ impl Cache {
                 _mm_prefetch(entries.add(8).cast::<i8>(), _MM_HINT_T0);
             }
             _mm_prefetch(self.valid.as_ptr().add(set).cast::<i8>(), _MM_HINT_T0);
-            self.repl.prefetch_set(set, self.assoc);
+            if let Some(repl) = &self.repl {
+                repl.prefetch_set(set, self.assoc);
+            }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -229,16 +241,24 @@ impl Cache {
     pub fn access(&mut self, block: u64, is_store: bool) -> bool {
         let set = self.geom.set_of(block) as usize;
         let tag = self.geom.tag_of(block);
-        match self.find_way(set, tag) {
-            Some(w) => {
-                self.repl.on_hit(set, w, self.assoc);
-                if is_store {
-                    self.entries[set * self.assoc + w] |= ENTRY_DIRTY;
-                }
-                true
+        let Some(w) = self.find_way(set, tag) else {
+            return false;
+        };
+        let base = set * self.assoc;
+        let way = match &mut self.repl {
+            None => {
+                self.move_to_front(base, w);
+                0
             }
-            None => false,
+            Some(repl) => {
+                repl.on_hit(set, w, self.assoc);
+                w
+            }
+        };
+        if is_store {
+            self.entries[base + way] |= ENTRY_DIRTY;
         }
+        true
     }
 
     /// Inserts `block`, evicting a victim if the set is full. The block must
@@ -300,28 +320,51 @@ impl Cache {
             "tag {tag:#x} does not leave room for the entry flag bits"
         );
         let base = set * self.assoc;
-        // Prefer the lowest invalid way (one bit-scan of the set's mask).
-        let free = !self.valid[set] & way_mask(self.assoc);
-        let (way, evicted) = match free {
-            m if m != 0 => (m.trailing_zeros() as usize, None),
-            _ => {
-                let w = self.repl.victim(set, self.assoc);
-                let old = self.entries[base + w];
-                let evicted = Evicted {
-                    block: self
-                        .geom
-                        .block_from_parts(old >> self.tag_shift, set as u64),
-                    dirty: old & ENTRY_DIRTY != 0,
-                };
-                self.live_lines -= 1;
-                (w, Some((evicted, self.owner_field(old))))
-            }
+        let valid = self.valid[set];
+        let full = valid == way_mask(self.assoc);
+        // The way the new line displaces: under LRU the first free way of
+        // the prefix or, in a full set, the last (LRU) way.
+        let way = match &mut self.repl {
+            None => (valid.count_ones() as usize).min(self.assoc - 1),
+            Some(repl) if full => repl.victim(set, self.assoc),
+            Some(_) => (!valid).trailing_zeros() as usize,
         };
-        self.entries[base + way] = (tag << self.tag_shift) | ENTRY_VALID | flags;
-        self.valid[set] |= 1 << way;
-        self.repl.on_fill(set, way, self.assoc);
-        self.live_lines += 1;
-        evicted
+        let old = self.entries[base + way];
+        let entry = (tag << self.tag_shift) | ENTRY_VALID | flags;
+        match &mut self.repl {
+            None => {
+                self.move_to_front(base, way);
+                self.entries[base] = entry;
+                self.valid[set] = way_mask(way + 1);
+            }
+            Some(repl) => {
+                self.entries[base + way] = entry;
+                self.valid[set] |= 1 << way;
+                repl.on_fill(set, way, self.assoc);
+            }
+        }
+        if !full {
+            self.live_lines += 1;
+            return None;
+        }
+        let evicted = Evicted {
+            block: self
+                .geom
+                .block_from_parts(old >> self.tag_shift, set as u64),
+            dirty: old & ENTRY_DIRTY != 0,
+        };
+        Some((evicted, self.owner_field(old)))
+    }
+
+    /// LRU promotion: moves way `w` of the set at `base` to way 0 and ages
+    /// ways `0..w` by one.
+    #[inline]
+    fn move_to_front(&mut self, base: usize, w: usize) {
+        let entry = self.entries[base + w];
+        for i in (base..base + w).rev() {
+            self.entries[i + 1] = self.entries[i];
+        }
+        self.entries[base] = entry;
     }
 
     /// Removes `block` if resident, reporting its dirtiness. Used both for
@@ -330,10 +373,18 @@ impl Cache {
         let set = self.geom.set_of(block) as usize;
         let tag = self.geom.tag_of(block);
         let w = self.find_way(set, tag)?;
-        let idx = set * self.assoc + w;
-        let dirty = self.entries[idx] & ENTRY_DIRTY != 0;
-        self.entries[idx] = 0;
-        self.valid[set] &= !(1 << w);
+        let base = set * self.assoc;
+        let dirty = self.entries[base + w] & ENTRY_DIRTY != 0;
+        if self.repl.is_none() {
+            // Close the gap so the valid ways stay a recency-ordered prefix.
+            let n = self.valid[set].count_ones() as usize;
+            self.entries.copy_within(base + w + 1..base + n, base + w);
+            self.entries[base + n - 1] = 0;
+            self.valid[set] >>= 1;
+        } else {
+            self.entries[base + w] = 0;
+            self.valid[set] &= !(1 << w);
+        }
         self.live_lines -= 1;
         Some(Evicted { block, dirty })
     }
@@ -378,13 +429,6 @@ impl Cache {
                         .block_from_parts(self.entries[base + w] >> self.tag_shift, set as u64)
                 })
             })
-    }
-
-    /// Empties the cache.
-    pub fn flush(&mut self) {
-        self.entries.fill(0);
-        self.valid.fill(0);
-        self.live_lines = 0;
     }
 }
 
@@ -484,15 +528,32 @@ mod tests {
     }
 
     #[test]
-    fn resident_blocks_and_flush() {
+    fn resident_blocks_covers_every_set() {
         let mut c = small_cache();
         for s in 0..4 {
             c.fill(blk(1, s), false);
         }
-        assert_eq!(c.resident_blocks().count(), 4);
-        c.flush();
-        assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.resident_blocks().count(), 0);
+        c.fill(blk(2, 3), false);
+        let mut all: Vec<u64> = c.resident_blocks().collect();
+        all.sort_unstable();
+        let want = [blk(1, 0), blk(1, 1), blk(1, 2), blk(1, 3), blk(2, 3)];
+        assert_eq!(all, want);
+    }
+
+    #[test]
+    fn lru_stack_property() {
+        // One 8-way set: touching ways in any order leaves the line
+        // touched longest ago as the victim.
+        let mut c = Cache::new(CacheConfig::lru(512, 8, 64));
+        for t in 0..8 {
+            c.fill(t, false);
+        }
+        for t in [3u64, 5, 0, 7, 2, 6, 4] {
+            assert!(c.access(t, false));
+        }
+        // Tag 1 was never re-touched after its fill.
+        assert_eq!(c.fill(8, false).unwrap().block, 1);
+        assert_eq!(c.fill(9, false).unwrap().block, 3);
     }
 
     #[test]
@@ -562,5 +623,169 @@ mod tests {
             }
         }
         assert!(c.occupancy() <= 8);
+    }
+
+    fn splitmix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// One resident line of the reference model.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Line {
+        block: u64,
+        dirty: bool,
+        owners: u64,
+    }
+
+    /// Naive LRU cache: one recency list per set, most recent first.
+    struct LruModel {
+        sets: Vec<Vec<Line>>,
+        assoc: usize,
+    }
+
+    impl LruModel {
+        fn set(&mut self, block: u64) -> &mut Vec<Line> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(block % n) as usize]
+        }
+
+        fn find(&mut self, block: u64) -> Option<&mut Line> {
+            self.set(block).iter_mut().find(|l| l.block == block)
+        }
+
+        fn access(&mut self, block: u64, is_store: bool) -> bool {
+            let set = self.set(block);
+            let Some(pos) = set.iter().position(|l| l.block == block) else {
+                return false;
+            };
+            let mut line = set.remove(pos);
+            line.dirty |= is_store;
+            set.insert(0, line);
+            true
+        }
+
+        fn fill(&mut self, line: Line) -> Option<Line> {
+            let assoc = self.assoc;
+            let set = self.set(line.block);
+            let victim = (set.len() == assoc).then(|| set.pop().unwrap());
+            set.insert(0, line);
+            victim
+        }
+
+        fn invalidate(&mut self, block: u64) -> Option<Line> {
+            let set = self.set(block);
+            let pos = set.iter().position(|l| l.block == block)?;
+            Some(set.remove(pos))
+        }
+
+        fn occupancy(&self) -> u64 {
+            self.sets.iter().map(|s| s.len() as u64).sum()
+        }
+    }
+
+    /// The way-ordered LRU cache must make every decision a naive
+    /// recency-list model makes, at every associativity the entry word
+    /// supports, with owners, dirty bits and invalidation holes in play.
+    #[test]
+    fn lru_cache_matches_recency_list_model() {
+        const SETS: u64 = 4;
+        const CORES: usize = 4;
+        let mut rng = 0x1A55_0C1A_7E5Eu64;
+        for assoc in [1usize, 2, 3, 4, 8, 12, 16, 32, 64] {
+            let capacity = SETS * assoc as u64 * 64;
+            let mut c = Cache::with_owners(CacheConfig::lru(capacity, assoc, 64), CORES);
+            let mut m = LruModel {
+                sets: vec![Vec::new(); SETS as usize],
+                assoc,
+            };
+            // Half again as many blocks per set as ways: hits, misses and
+            // evictions all stay frequent.
+            let pool = SETS * (assoc as u64 * 3 / 2 + 2);
+            for op in 0..20_000 {
+                let r = splitmix(&mut rng);
+                let block = (r >> 8) % pool;
+                let core = (r >> 4) as usize % CORES;
+                let ctx = format!("assoc {assoc}, op {op}, block {block}");
+                match r % 16 {
+                    0..=6 => {
+                        let store = r & 0x80 != 0;
+                        assert_eq!(c.access(block, store), m.access(block, store), "{ctx}");
+                    }
+                    7..=10 if m.find(block).is_none() => {
+                        // `fill` reports the victim without its owners.
+                        let (got, line) = if r % 16 < 9 {
+                            let owners = 1 << core;
+                            let got = c.fill_owned(block, core);
+                            (
+                                got,
+                                Line {
+                                    block,
+                                    dirty: false,
+                                    owners,
+                                },
+                            )
+                        } else {
+                            let dirty = r & 0x80 != 0;
+                            let got = c.fill(block, dirty).map(|v| (v, 0));
+                            (
+                                got,
+                                Line {
+                                    block,
+                                    dirty,
+                                    owners: 0,
+                                },
+                            )
+                        };
+                        let want = m.fill(line).map(|l| {
+                            let owners = if line.owners == 0 { 0 } else { l.owners };
+                            (
+                                Evicted {
+                                    block: l.block,
+                                    dirty: l.dirty,
+                                },
+                                owners,
+                            )
+                        });
+                        assert_eq!(got, want, "{ctx}: victim");
+                    }
+                    11 => {
+                        let want = m.invalidate(block).map(|l| Evicted {
+                            block: l.block,
+                            dirty: l.dirty,
+                        });
+                        assert_eq!(c.invalidate(block), want, "{ctx}");
+                    }
+                    12 => {
+                        let want = m.find(block).map(|l| l.dirty = true).is_some();
+                        assert_eq!(c.mark_dirty(block), want, "{ctx}");
+                    }
+                    13 => {
+                        let want = m.find(block).map(|l| l.owners |= 1 << core).is_some();
+                        assert_eq!(c.add_owner(block, core), want, "{ctx}");
+                    }
+                    _ => {
+                        assert_eq!(c.probe(block), m.find(block).is_some(), "{ctx}");
+                        let want = m.find(block).map(|l| l.owners);
+                        assert_eq!(c.owners(block), want, "{ctx}");
+                    }
+                }
+                assert_eq!(c.occupancy(), m.occupancy(), "{ctx}");
+                let set = block % SETS;
+                let mut got: Vec<u64> = c.blocks_in_set(set).collect();
+                let mut want: Vec<u64> = m.sets[set as usize].iter().map(|l| l.block).collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "{ctx}: resident set");
+            }
+            let mut got: Vec<u64> = c.resident_blocks().collect();
+            let mut want: Vec<u64> = m.sets.iter().flatten().map(|l| l.block).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "assoc {assoc}: resident blocks");
+        }
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! The paper's hierarchy uses LRU throughout; the other policies exist for
 //! ablations (and because lower-level caches in practice often run PLRU or
-//! RRIP). Each policy keeps its own per-set state and exposes three hooks:
-//! `on_hit`, `on_fill`, and `victim`.
+//! RRIP). LRU keeps no state here: `Cache` holds each set's lines in
+//! recency order. Every other policy picks victims by way position, so it
+//! keeps its own per-set state and exposes three hooks: `on_hit`,
+//! `on_fill`, and `victim`.
 
 /// Which replacement policy a cache runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
-    /// Exact least-recently-used (per-way timestamps).
+    /// Exact least-recently-used (each set's ways kept in recency order).
     Lru,
     /// Tree pseudo-LRU (requires power-of-two associativity).
     TreePlru,
@@ -48,32 +50,13 @@ impl minijson::FromJson for ReplacementPolicy {
     }
 }
 
-/// Runtime replacement state for a whole cache.
+/// Runtime state of a way-indexed replacement policy for a whole cache.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplacerState {
-    /// Exact LRU, one recency *rank* byte per way packed into a `u128` per
-    /// set (assoc ≤ [`PACKED_LRU_MAX_ASSOC`]). Rank 0 = MRU, rank
-    /// `assoc-1` = LRU; a touch runs branch-free SWAR over the whole set.
-    PackedLru {
-        ranks: Vec<u128>,
-    },
-    /// Exact LRU via per-way timestamps (fallback for wide sets).
-    Lru {
-        stamp: Vec<u64>,
-        clock: u64,
-    },
-    TreePlru {
-        bits: Vec<u16>,
-    },
-    Fifo {
-        next: Vec<u8>,
-    },
-    Random {
-        state: u64,
-    },
-    Srrip {
-        rrpv: Vec<u8>,
-    },
+    TreePlru { bits: Vec<u16> },
+    Fifo { next: Vec<u8> },
+    Random { state: u64 },
+    Srrip { rrpv: Vec<u8> },
 }
 
 impl ReplacerState {
@@ -85,12 +68,6 @@ impl ReplacerState {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         unsafe {
             match self {
-                ReplacerState::PackedLru { ranks } => {
-                    _mm_prefetch(ranks.as_ptr().add(set).cast::<i8>(), _MM_HINT_T0);
-                }
-                ReplacerState::Lru { stamp, .. } => {
-                    _mm_prefetch(stamp.as_ptr().add(set * assoc).cast::<i8>(), _MM_HINT_T0);
-                }
                 ReplacerState::TreePlru { bits } => {
                     _mm_prefetch(bits.as_ptr().add(set).cast::<i8>(), _MM_HINT_T0);
                 }
@@ -109,46 +86,12 @@ impl ReplacerState {
 const SRRIP_MAX: u8 = 3; // 2-bit RRPV
 const SRRIP_INSERT: u8 = 2; // "long re-reference" insertion
 
-/// Widest associativity the packed rank representation covers (one byte
-/// lane per way in a `u128`).
-pub(crate) const PACKED_LRU_MAX_ASSOC: usize = 16;
-
-/// 0x01 repeated in every byte lane.
-const LANE_LSB: u128 = 0x0101_0101_0101_0101_0101_0101_0101_0101;
-/// 0x80 repeated in every byte lane.
-const LANE_MSB: u128 = LANE_LSB << 7;
-
-/// Per-lane unsigned `lane < n` for byte lanes holding values ≤ 127:
-/// returns `0x80` in every lane where the comparison holds. `x | MSB`
-/// keeps every lane ≥ 128 ≥ n, so the subtraction never borrows across
-/// lanes and each lane's top bit is exact.
-#[inline]
-fn lanes_lt(x: u128, n: u128) -> u128 {
-    !((x | LANE_MSB) - n * LANE_LSB) & LANE_MSB
-}
-
-/// Initial rank word for one set: lane `w` holds rank `w` for real ways,
-/// `0xFF` (inert: never "less than" any rank, never equal to a victim
-/// rank) for lanes beyond the associativity.
-fn packed_lru_init(assoc: usize) -> u128 {
-    let mut word = 0u128;
-    for lane in 0..PACKED_LRU_MAX_ASSOC {
-        let v = if lane < assoc { lane as u128 } else { 0xFF };
-        word |= v << (8 * lane);
-    }
-    word
-}
-
 impl ReplacerState {
-    pub(crate) fn new(policy: ReplacementPolicy, sets: usize, assoc: usize) -> Self {
-        match policy {
-            ReplacementPolicy::Lru if assoc <= PACKED_LRU_MAX_ASSOC => ReplacerState::PackedLru {
-                ranks: vec![packed_lru_init(assoc); sets],
-            },
-            ReplacementPolicy::Lru => ReplacerState::Lru {
-                stamp: vec![0; sets * assoc],
-                clock: 0,
-            },
+    /// State for `policy` over `sets` sets of `assoc` ways; `None` for LRU,
+    /// whose recency order is the entry order of each set.
+    pub(crate) fn new(policy: ReplacementPolicy, sets: usize, assoc: usize) -> Option<Self> {
+        Some(match policy {
+            ReplacementPolicy::Lru => return None,
             ReplacementPolicy::TreePlru => {
                 assert!(
                     assoc.is_power_of_two(),
@@ -168,29 +111,13 @@ impl ReplacerState {
             ReplacementPolicy::Srrip => ReplacerState::Srrip {
                 rrpv: vec![SRRIP_MAX; sets * assoc],
             },
-        }
-    }
-
-    /// Moves `way` to rank 0, aging every way that was more recent.
-    #[inline]
-    fn packed_touch(ranks: &mut [u128], set: usize, way: usize) {
-        let x = ranks[set];
-        let r = (x >> (8 * way)) & 0xFF;
-        // Lanes more recent than the touched way (rank < r) age by one;
-        // ranks stay ≤ 15 so the add never carries between lanes.
-        let aged = x + (lanes_lt(x, r) >> 7);
-        ranks[set] = aged & !(0xFFu128 << (8 * way));
+        })
     }
 
     /// Records a hit on `way` of `set`.
     #[inline]
     pub(crate) fn on_hit(&mut self, set: usize, way: usize, assoc: usize) {
         match self {
-            ReplacerState::PackedLru { ranks } => Self::packed_touch(ranks, set, way),
-            ReplacerState::Lru { stamp, clock } => {
-                *clock += 1;
-                stamp[set * assoc + way] = *clock;
-            }
             ReplacerState::TreePlru { bits } => {
                 bits[set] = plru_touch(bits[set], assoc, way);
             }
@@ -206,11 +133,6 @@ impl ReplacerState {
     #[inline]
     pub(crate) fn on_fill(&mut self, set: usize, way: usize, assoc: usize) {
         match self {
-            ReplacerState::PackedLru { ranks } => Self::packed_touch(ranks, set, way),
-            ReplacerState::Lru { stamp, clock } => {
-                *clock += 1;
-                stamp[set * assoc + way] = *clock;
-            }
             ReplacerState::TreePlru { bits } => {
                 bits[set] = plru_touch(bits[set], assoc, way);
             }
@@ -229,29 +151,6 @@ impl ReplacerState {
     #[inline]
     pub(crate) fn victim(&mut self, set: usize, assoc: usize) -> usize {
         match self {
-            ReplacerState::PackedLru { ranks } => {
-                // The LRU way holds rank assoc-1. Victims are only chosen
-                // in fully-valid sets, where every way has been filled at
-                // least once and the ranks form a permutation, so exactly
-                // one lane matches (inert lanes sit at 0xFF).
-                let diff = ranks[set] ^ ((assoc as u128 - 1) * LANE_LSB);
-                let zero = !((diff | LANE_MSB) - LANE_LSB) & LANE_MSB;
-                debug_assert_eq!(zero.count_ones(), 1, "ranks must be a permutation");
-                (zero.trailing_zeros() / 8) as usize
-            }
-            ReplacerState::Lru { stamp, .. } => {
-                let base = set * assoc;
-                let mut best = 0;
-                let mut best_stamp = u64::MAX;
-                for w in 0..assoc {
-                    let s = stamp[base + w];
-                    if s < best_stamp {
-                        best_stamp = s;
-                        best = w;
-                    }
-                }
-                best
-            }
             ReplacerState::TreePlru { bits } => plru_victim(bits[set], assoc),
             ReplacerState::Fifo { next } => next[set] as usize,
             ReplacerState::Random { state } => {
@@ -327,35 +226,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lru_evicts_least_recent() {
-        let mut r = ReplacerState::new(ReplacementPolicy::Lru, 1, 4);
-        for w in 0..4 {
-            r.on_fill(0, w, 4);
-        }
-        r.on_hit(0, 0, 4); // way 0 becomes MRU; way 1 is now LRU
-        assert_eq!(r.victim(0, 4), 1);
-        r.on_hit(0, 1, 4);
-        r.on_hit(0, 2, 4);
-        assert_eq!(r.victim(0, 4), 3);
-    }
-
-    #[test]
-    fn lru_stack_property() {
-        // Accessing ways in order leaves the first-accessed as victim.
-        let mut r = ReplacerState::new(ReplacementPolicy::Lru, 2, 8);
-        for w in 0..8 {
-            r.on_fill(1, w, 8);
-        }
-        for w in [3usize, 5, 0, 7, 2, 6, 4] {
-            r.on_hit(1, w, 8);
-        }
-        // way 1 never re-touched after fill → LRU
-        assert_eq!(r.victim(1, 8), 1);
-    }
-
-    #[test]
     fn plru_never_victimizes_most_recent() {
-        let mut r = ReplacerState::new(ReplacementPolicy::TreePlru, 1, 8);
+        let mut r = ReplacerState::new(ReplacementPolicy::TreePlru, 1, 8).unwrap();
         for w in 0..8 {
             r.on_fill(0, w, 8);
         }
@@ -367,7 +239,7 @@ mod tests {
 
     #[test]
     fn plru_victim_then_touch_alternates_halves() {
-        let mut r = ReplacerState::new(ReplacementPolicy::TreePlru, 1, 4);
+        let mut r = ReplacerState::new(ReplacementPolicy::TreePlru, 1, 4).unwrap();
         for w in 0..4 {
             r.on_fill(0, w, 4);
         }
@@ -386,7 +258,7 @@ mod tests {
 
     #[test]
     fn fifo_cycles_in_order() {
-        let mut r = ReplacerState::new(ReplacementPolicy::Fifo, 1, 4);
+        let mut r = ReplacerState::new(ReplacementPolicy::Fifo, 1, 4).unwrap();
         for w in 0..4 {
             assert_eq!(r.victim(0, 4), w % 4);
             r.on_fill(0, w, 4);
@@ -398,7 +270,7 @@ mod tests {
 
     #[test]
     fn random_victims_cover_all_ways() {
-        let mut r = ReplacerState::new(ReplacementPolicy::Random, 1, 4);
+        let mut r = ReplacerState::new(ReplacementPolicy::Random, 1, 4).unwrap();
         let mut seen = [false; 4];
         for _ in 0..200 {
             seen[r.victim(0, 4)] = true;
@@ -408,7 +280,7 @@ mod tests {
 
     #[test]
     fn srrip_prefers_distant_rrpv() {
-        let mut r = ReplacerState::new(ReplacementPolicy::Srrip, 1, 4);
+        let mut r = ReplacerState::new(ReplacementPolicy::Srrip, 1, 4).unwrap();
         for w in 0..4 {
             r.on_fill(0, w, 4);
         }
@@ -418,117 +290,9 @@ mod tests {
         assert_ne!(v, 2);
     }
 
-    fn splitmix(x: &mut u64) -> u64 {
-        *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Naive LRU reference: a recency queue per set, most-recent at the
-    /// back. The victim is the front.
-    struct VecDequeLru {
-        queues: Vec<std::collections::VecDeque<usize>>,
-    }
-
-    impl VecDequeLru {
-        fn new(sets: usize) -> Self {
-            Self {
-                queues: (0..sets)
-                    .map(|_| std::collections::VecDeque::new())
-                    .collect(),
-            }
-        }
-
-        fn touch(&mut self, set: usize, way: usize) {
-            let q = &mut self.queues[set];
-            if let Some(pos) = q.iter().position(|&w| w == way) {
-                q.remove(pos);
-            }
-            q.push_back(way);
-        }
-
-        fn victim(&self, set: usize) -> usize {
-            *self.queues[set].front().expect("victim of an empty set")
-        }
-    }
-
-    /// The packed SWAR LRU must agree with the naive `VecDeque` model on
-    /// every victim choice under random access sequences, across the
-    /// associativities the hierarchy actually uses.
-    #[test]
-    fn packed_lru_matches_vecdeque_reference_model() {
-        let mut st = 0x9ACC_ED1Du64;
-        for assoc in [2usize, 4, 8, 12, 16] {
-            let sets = 4;
-            let mut packed = ReplacerState::new(ReplacementPolicy::Lru, sets, assoc);
-            assert!(
-                matches!(packed, ReplacerState::PackedLru { .. }),
-                "assoc {assoc} must select the packed representation"
-            );
-            let mut model = VecDequeLru::new(sets);
-            // Fill every way first — victims are only consulted on full sets.
-            for set in 0..sets {
-                for way in 0..assoc {
-                    packed.on_fill(set, way, assoc);
-                    model.touch(set, way);
-                }
-            }
-            for _ in 0..2_000 {
-                let set = (splitmix(&mut st) as usize) % sets;
-                let way = (splitmix(&mut st) as usize) % assoc;
-                if splitmix(&mut st).is_multiple_of(3) {
-                    packed.on_fill(set, way, assoc);
-                } else {
-                    packed.on_hit(set, way, assoc);
-                }
-                model.touch(set, way);
-                assert_eq!(
-                    packed.victim(set, assoc),
-                    model.victim(set),
-                    "assoc {assoc}: packed LRU diverged from the reference model"
-                );
-            }
-        }
-    }
-
-    /// The packed and timestamp representations are the same policy: drive
-    /// both with one random sequence and compare every victim.
-    #[test]
-    fn packed_lru_equals_stamp_lru() {
-        let assoc = 16;
-        let sets = 8;
-        let mut packed = ReplacerState::new(ReplacementPolicy::Lru, sets, assoc);
-        let mut stamps = ReplacerState::Lru {
-            stamp: vec![0; sets * assoc],
-            clock: 0,
-        };
-        let mut st = 0x57A_3B5u64;
-        for set in 0..sets {
-            for way in 0..assoc {
-                packed.on_fill(set, way, assoc);
-                stamps.on_fill(set, way, assoc);
-            }
-        }
-        for _ in 0..5_000 {
-            let set = (splitmix(&mut st) as usize) % sets;
-            let way = (splitmix(&mut st) as usize) % assoc;
-            packed.on_hit(set, way, assoc);
-            stamps.on_hit(set, way, assoc);
-            assert_eq!(packed.victim(set, assoc), stamps.victim(set, assoc));
-        }
-    }
-
-    #[test]
-    fn wide_lru_falls_back_to_stamps() {
-        let r = ReplacerState::new(ReplacementPolicy::Lru, 2, 32);
-        assert!(matches!(r, ReplacerState::Lru { .. }));
-    }
-
     #[test]
     fn srrip_victim_terminates_and_ages() {
-        let mut r = ReplacerState::new(ReplacementPolicy::Srrip, 1, 2);
+        let mut r = ReplacerState::new(ReplacementPolicy::Srrip, 1, 2).unwrap();
         r.on_fill(0, 0, 2);
         r.on_fill(0, 1, 2);
         r.on_hit(0, 0, 2);

@@ -1,5 +1,6 @@
 //! Simulation configuration.
 
+use cache_sim::traversal::MAX_LEVELS;
 use cache_sim::{InclusionPolicy, ReplacementPolicy};
 use energy_model::PlatformSpec;
 use minijson::{json, FromJson, Json, ToJson};
@@ -251,11 +252,22 @@ impl SimConfig {
         if cores == 0 {
             return Err("the platform needs at least one core".into());
         }
+        let depth = self.platform.levels.len();
+        if !(2..=MAX_LEVELS).contains(&depth) {
+            return Err(format!(
+                "the hierarchy needs 2..={MAX_LEVELS} levels (private levels, then the \
+                 shared LLC), got {depth}"
+            ));
+        }
+        for (i, level) in self.platform.levels.iter().enumerate() {
+            self.check_geometry(level.capacity_bytes, level.assoc)
+                .map_err(|e| format!("L{}: {e}", i + 1))?;
+        }
         // Each shared-LLC entry word holds one core-valid bit per core
         // beside the tag of a 58-bit block address (64-byte blocks), so the
         // tag must leave `cores` bits free: cores ≤ log2(LLC sets) + 4.
         let llc = self.platform.llc();
-        let sets = llc.capacity_bytes / 64 / (llc.assoc as u64).max(1);
+        let sets = llc.capacity_bytes / 64 / llc.assoc as u64;
         let max_cores = sets.max(1).ilog2() as usize + 4;
         if cores > max_cores {
             return Err(format!(
@@ -326,6 +338,30 @@ impl SimConfig {
         }
         if self.refs_per_core == 0 {
             return Err("refs_per_core must be positive".into());
+        }
+        Ok(())
+    }
+
+    /// Rejects a cache shape the hierarchy cannot build: a set count that
+    /// is not a power of two, an entry word's validity mask overflowing
+    /// (above 64 ways), or a tree-PLRU without a complete ≤ 16-way tree.
+    fn check_geometry(&self, capacity_bytes: u64, assoc: usize) -> Result<(), String> {
+        if !(1..=64).contains(&assoc) {
+            return Err(format!("associativity {assoc} is outside 1..=64 ways"));
+        }
+        let lines = capacity_bytes / 64;
+        if !lines.is_multiple_of(assoc as u64) || !(lines / assoc as u64).is_power_of_two() {
+            return Err(format!(
+                "{capacity_bytes} bytes do not form a power-of-two number of \
+                 {assoc}-way sets of 64-byte blocks"
+            ));
+        }
+        if self.replacement == ReplacementPolicy::TreePlru
+            && (!assoc.is_power_of_two() || assoc > 16)
+        {
+            return Err(format!(
+                "tree-PLRU needs a power-of-two associativity of at most 16 ways (got {assoc})"
+            ));
         }
         Ok(())
     }
@@ -555,6 +591,70 @@ mod tests {
         assert!(c.count_prediction_overhead);
         assert_eq!(c.effective_pt_bytes(), 64 << 10);
         assert!(c.validate().is_ok());
+    }
+
+    /// `cfg` with the LLC reshaped to `capacity_bytes` at `assoc` ways.
+    fn with_llc(mut c: SimConfig, capacity_bytes: u64, assoc: usize) -> SimConfig {
+        let llc = c.platform.levels.last_mut().unwrap();
+        llc.capacity_bytes = capacity_bytes;
+        llc.assoc = assoc;
+        c
+    }
+
+    #[test]
+    fn hierarchy_depth_outside_two_to_eight_levels_is_rejected() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Base);
+        let l1 = c.platform.levels[0];
+        c.platform.levels.truncate(1);
+        assert!(c.validate().unwrap_err().contains("got 1"));
+        c.platform.levels.clear();
+        assert!(c.validate().unwrap_err().contains("got 0"));
+        c.platform.levels = vec![l1; 9];
+        assert!(c.validate().unwrap_err().contains("got 9"));
+        c.platform.levels.truncate(8);
+        assert!(c.validate().is_ok());
+        crate::system::System::new(c.clone());
+        c.platform.levels.truncate(2);
+        assert!(c.validate().is_ok());
+        crate::system::System::new(c);
+    }
+
+    #[test]
+    fn non_power_of_two_set_count_is_rejected() {
+        let c = SimConfig::new(demo_scale(), Mechanism::Base);
+        // 6 MB at 16 ways is 6144 sets; 8 MB at 12 ways does not divide.
+        for (bytes, assoc) in [(6 << 20, 16), (8 << 20, 12)] {
+            let err = with_llc(c.clone(), bytes, assoc).validate().unwrap_err();
+            assert!(
+                err.starts_with("L4: ") && err.contains("power-of-two"),
+                "{err}"
+            );
+        }
+        assert!(with_llc(c, 6 << 20, 12).validate().is_ok(), "8192 sets");
+    }
+
+    #[test]
+    fn associativity_outside_one_to_sixty_four_is_rejected() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Base);
+        c.platform.levels[0].assoc = 0;
+        assert!(c.validate().unwrap_err().starts_with("L1: associativity 0"));
+        let c = SimConfig::new(demo_scale(), Mechanism::Base);
+        let err = with_llc(c.clone(), 8 << 20, 128).validate().unwrap_err();
+        assert!(err.contains("outside 1..=64"), "{err}");
+        assert!(with_llc(c, 8 << 20, 64).validate().is_ok());
+    }
+
+    #[test]
+    fn tree_plru_needs_a_power_of_two_of_at_most_sixteen_ways() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Base);
+        c.replacement = ReplacementPolicy::TreePlru;
+        assert!(c.validate().is_ok());
+        for (bytes, assoc) in [(6 << 20, 12), (8 << 20, 32)] {
+            let err = with_llc(c.clone(), bytes, assoc).validate().unwrap_err();
+            assert!(err.contains("tree-PLRU"), "{err}");
+        }
+        c.replacement = ReplacementPolicy::Lru;
+        assert!(with_llc(c, 6 << 20, 12).validate().is_ok());
     }
 
     #[test]

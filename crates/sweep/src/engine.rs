@@ -434,6 +434,22 @@ mod tests {
     }
 
     #[test]
+    fn unbuildable_cache_geometry_is_an_error_naming_the_cell() {
+        let mut p = smoke_plan();
+        let mut bad = cfg(Mechanism::Base, 600);
+        bad.platform.levels.last_mut().unwrap().assoc = 12;
+        p.cell(&bad, Benchmark::Mcf, Scale::Smoke);
+        let engine = SweepEngine::new(2).quiet();
+        let err = engine.run(&p, "t").unwrap_err().to_string();
+        assert!(err.contains("cell 6 (Base on mcf)"), "{err}");
+        assert!(
+            err.contains("L4: ") && err.contains("power-of-two"),
+            "{err}"
+        );
+        assert_eq!(engine.cache().counters.misses.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn empty_plan_runs() {
         let r = SweepEngine::new(4)
             .quiet()
