@@ -384,7 +384,9 @@ mod tests {
     fn compare_accepts_every_committed_snapshot() {
         // The committed snapshots span every schema addition and carry
         // sections this reader skips (`parallel`, `metrics`); each one
-        // must still compare and render.
+        // must still compare and render. A `BENCH_*.json` in the
+        // `perfbench-ab/v1` schema holds perfbench A/B runs instead and is
+        // not a snapshot; any other schema is an error.
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let load = |p: &std::path::Path| {
             minijson::parse(&std::fs::read_to_string(p).expect("read snapshot")).expect("parse")
@@ -396,6 +398,11 @@ mod tests {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             if name.starts_with("BENCH_") && name.ends_with(".json") {
                 let doc = load(&path);
+                match doc.str_of("schema") {
+                    Ok("redhip-bench/v1") => {}
+                    Ok("perfbench-ab/v1") => continue,
+                    other => panic!("{name}: unknown schema {other:?}"),
+                }
                 let table = compare(&base, &doc);
                 assert!(table.contains("geomean speedup"), "{name}: {table}");
                 assert!(render(&doc).contains("Base"), "{name}");

@@ -112,9 +112,13 @@ impl Cache {
     /// field (the shared LLC of a `cores`-core hierarchy).
     ///
     /// # Panics
-    /// Panics when the entry word cannot hold the field beside the tag of
-    /// every 64-bit byte address: `cores > block_bits + set_bits - 2`.
+    /// Panics when [`CacheConfig::check`] fails, or when the entry word
+    /// cannot hold the field beside the tag of every 64-bit byte address:
+    /// `cores > block_bits + set_bits - 2`.
     pub(crate) fn with_owners(config: CacheConfig, cores: usize) -> Self {
+        if let Err(e) = config.check() {
+            panic!("cannot build the cache: {e}");
+        }
         let geom = config.geometry();
         let tag_bits = 64 - geom.block_bits - geom.set_bits;
         assert!(
@@ -123,7 +127,6 @@ impl Cache {
         );
         let tag_shift = ENTRY_FLAG_BITS + cores as u32;
         let lines = (geom.sets() as usize) * config.assoc;
-        assert!(config.assoc <= 64, "valid mask holds at most 64 ways");
         let mut entries = vec![0; lines];
         let mut valid = vec![0; geom.sets() as usize];
         prefault(&mut entries);
@@ -595,6 +598,15 @@ mod tests {
     fn core_valid_field_must_fit_beside_the_tag() {
         // 4 sets, 64-byte blocks: a 56-bit tag leaves room for 6 bits.
         Cache::with_owners(CacheConfig::lru(512, 2, 64), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "tree-PLRU")]
+    fn plru_rejects_non_power_of_two() {
+        Cache::new(CacheConfig {
+            policy: ReplacementPolicy::TreePlru,
+            ..CacheConfig::lru(1536, 6, 64)
+        });
     }
 
     #[test]

@@ -88,20 +88,14 @@ const SRRIP_INSERT: u8 = 2; // "long re-reference" insertion
 
 impl ReplacerState {
     /// State for `policy` over `sets` sets of `assoc` ways; `None` for LRU,
-    /// whose recency order is the entry order of each set.
+    /// whose recency order is the entry order of each set. The shape must
+    /// pass [`CacheConfig::check`](crate::CacheConfig::check).
     pub(crate) fn new(policy: ReplacementPolicy, sets: usize, assoc: usize) -> Option<Self> {
         Some(match policy {
             ReplacementPolicy::Lru => return None,
-            ReplacementPolicy::TreePlru => {
-                assert!(
-                    assoc.is_power_of_two(),
-                    "tree-PLRU requires power-of-two associativity, got {assoc}"
-                );
-                assert!(assoc <= 16, "tree-PLRU state packed in u16 (assoc ≤ 16)");
-                ReplacerState::TreePlru {
-                    bits: vec![0; sets],
-                }
-            }
+            ReplacementPolicy::TreePlru => ReplacerState::TreePlru {
+                bits: vec![0; sets],
+            },
             ReplacementPolicy::Fifo => ReplacerState::Fifo {
                 next: vec![0; sets],
             },
@@ -248,12 +242,6 @@ mod tests {
         let v2 = r.victim(0, 4);
         // After touching the previous victim the new victim is in the other half.
         assert_ne!(v1 / 2, v2 / 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn plru_rejects_non_power_of_two() {
-        let _ = ReplacerState::new(ReplacementPolicy::TreePlru, 1, 6);
     }
 
     #[test]

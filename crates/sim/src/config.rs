@@ -259,9 +259,10 @@ impl SimConfig {
                  shared LLC), got {depth}"
             ));
         }
-        for (i, level) in self.platform.levels.iter().enumerate() {
-            self.check_geometry(level.capacity_bytes, level.assoc)
-                .map_err(|e| format!("L{}: {e}", i + 1))?;
+        let caches = crate::system::hierarchy_config(self);
+        let shapes = caches.private_levels.iter().chain([&caches.shared_llc]);
+        for (i, cache) in shapes.enumerate() {
+            cache.check().map_err(|e| format!("L{}: {e}", i + 1))?;
         }
         // Each shared-LLC entry word holds one core-valid bit per core
         // beside the tag of a 58-bit block address (64-byte blocks), so the
@@ -338,30 +339,6 @@ impl SimConfig {
         }
         if self.refs_per_core == 0 {
             return Err("refs_per_core must be positive".into());
-        }
-        Ok(())
-    }
-
-    /// Rejects a cache shape the hierarchy cannot build: a set count that
-    /// is not a power of two, an entry word's validity mask overflowing
-    /// (above 64 ways), or a tree-PLRU without a complete ≤ 16-way tree.
-    fn check_geometry(&self, capacity_bytes: u64, assoc: usize) -> Result<(), String> {
-        if !(1..=64).contains(&assoc) {
-            return Err(format!("associativity {assoc} is outside 1..=64 ways"));
-        }
-        let lines = capacity_bytes / 64;
-        if !lines.is_multiple_of(assoc as u64) || !(lines / assoc as u64).is_power_of_two() {
-            return Err(format!(
-                "{capacity_bytes} bytes do not form a power-of-two number of \
-                 {assoc}-way sets of 64-byte blocks"
-            ));
-        }
-        if self.replacement == ReplacementPolicy::TreePlru
-            && (!assoc.is_power_of_two() || assoc > 16)
-        {
-            return Err(format!(
-                "tree-PLRU needs a power-of-two associativity of at most 16 ways (got {assoc})"
-            ));
         }
         Ok(())
     }
