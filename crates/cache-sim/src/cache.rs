@@ -653,6 +653,15 @@ mod tests {
         owners: u64,
     }
 
+    impl Line {
+        fn evicted(&self) -> Evicted {
+            Evicted {
+                block: self.block,
+                dirty: self.dirty,
+            }
+        }
+    }
+
     /// Naive LRU cache: one recency list per set, most recent first.
     struct LruModel {
         sets: Vec<Vec<Line>>,
@@ -728,47 +737,26 @@ mod tests {
                         assert_eq!(c.access(block, store), m.access(block, store), "{ctx}");
                     }
                     7..=10 if m.find(block).is_none() => {
-                        // `fill` reports the victim without its owners.
-                        let (got, line) = if r % 16 < 9 {
-                            let owners = 1 << core;
-                            let got = c.fill_owned(block, core);
-                            (
-                                got,
-                                Line {
-                                    block,
-                                    dirty: false,
-                                    owners,
-                                },
-                            )
-                        } else {
-                            let dirty = r & 0x80 != 0;
-                            let got = c.fill(block, dirty).map(|v| (v, 0));
-                            (
-                                got,
-                                Line {
-                                    block,
-                                    dirty,
-                                    owners: 0,
-                                },
-                            )
+                        let (dirty, owners) = match r % 16 {
+                            7 | 8 => (false, 1 << core),
+                            _ => (r & 0x80 != 0, 0),
                         };
-                        let want = m.fill(line).map(|l| {
-                            let owners = if line.owners == 0 { 0 } else { l.owners };
-                            (
-                                Evicted {
-                                    block: l.block,
-                                    dirty: l.dirty,
-                                },
+                        let got = match owners {
+                            0 => c.fill(block, dirty).map(|v| (v, 0)),
+                            _ => c.fill_owned(block, core),
+                        };
+                        // `fill` reports the victim without its owners.
+                        let want = m
+                            .fill(Line {
+                                block,
+                                dirty,
                                 owners,
-                            )
-                        });
+                            })
+                            .map(|l| (l.evicted(), if owners == 0 { 0 } else { l.owners }));
                         assert_eq!(got, want, "{ctx}: victim");
                     }
                     11 => {
-                        let want = m.invalidate(block).map(|l| Evicted {
-                            block: l.block,
-                            dirty: l.dirty,
-                        });
+                        let want = m.invalidate(block).map(|l| l.evicted());
                         assert_eq!(c.invalidate(block), want, "{ctx}");
                     }
                     12 => {
