@@ -28,20 +28,6 @@
 //!                        metrics.jsonl)
 //!   --quiet              suppress the stderr heartbeat
 //!
-//! Bench-baseline mode (see EXPERIMENTS.md "Recording a bench baseline"):
-//!
-//!   --bench-json FILE    measure refs/s for every mechanism and write the
-//!                        snapshot as JSON (no --benchmark required; uses
-//!                        the sim_throughput configuration: mcf × 8 cores)
-//!   --bench-refs N       references per core per timed run (default 5000)
-//!   --bench-samples K    timed runs per mechanism, fastest wins (default
-//!                        3; use 1 for a quick smoke run)
-//!   --jobs N             worker threads for the sweep-level aggregate
-//!                        measurement (default: REDHIP_JOBS, else all
-//!                        host cores)
-//!   --bench-compare A B  print the refs/s ratio table between two
-//!                        previously written snapshots and exit
-//!
 //! Trace toolchain (see `bench::tracecli` for flags):
 //!
 //!   redhip-sim trace record   record a benchmark's streams to a v2 file
@@ -96,9 +82,6 @@ fn main() {
     let mut metrics_path: Option<String> = None;
     let mut window: u64 = 100_000;
     let mut quiet = false;
-    let mut bench_json: Option<String> = None;
-    let mut bench_opts = bench::baseline::BenchOptions::default();
-    let mut bench_compare: Option<(String, String)> = None;
 
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -171,34 +154,6 @@ fn main() {
                     usage("--window must be positive");
                 }
             }
-            "--bench-json" => bench_json = Some(next("--bench-json")),
-            "--bench-refs" => {
-                bench_opts.refs_per_core = next("--bench-refs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --bench-refs"));
-                if bench_opts.refs_per_core == 0 {
-                    usage("--bench-refs must be positive");
-                }
-            }
-            "--bench-samples" => {
-                bench_opts.samples = next("--bench-samples")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --bench-samples"));
-                if bench_opts.samples == 0 {
-                    usage("--bench-samples must be positive");
-                }
-            }
-            "--jobs" => {
-                bench_opts.jobs = next("--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --jobs"));
-                if bench_opts.jobs == 0 {
-                    usage("--jobs must be positive");
-                }
-            }
-            "--bench-compare" => {
-                bench_compare = Some((next("--bench-compare"), next("--bench-compare")));
-            }
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
                 eprintln!("see the module docs at the top of redhip-sim.rs");
@@ -210,34 +165,6 @@ fn main() {
     // Enable before any simulation so phase timers cover the whole run.
     if metrics_path.is_some() {
         metrics::enable();
-    }
-
-    if let Some((old_path, new_path)) = bench_compare {
-        let load = |p: &str| {
-            let text = std::fs::read_to_string(p)
-                .unwrap_or_else(|e| usage(&format!("cannot read {p}: {e}")));
-            minijson::parse(&text).unwrap_or_else(|e| usage(&format!("{p}: {e}")))
-        };
-        print!(
-            "{}",
-            bench::baseline::compare(&load(&old_path), &load(&new_path))
-        );
-        return;
-    }
-
-    if let Some(path) = bench_json {
-        if let Some(b) = benchmark {
-            bench_opts.benchmark = b;
-        }
-        eprintln!(
-            "[redhip-sim] bench: {} x {} refs/core, {} sample(s) per mechanism ...",
-            bench_opts.benchmark, bench_opts.refs_per_core, bench_opts.samples
-        );
-        let doc = bench::baseline::measure(&bench_opts);
-        write_or_exit(&path, doc.pretty());
-        eprintln!("[redhip-sim] wrote {path}");
-        print!("{}", bench::baseline::render(&doc));
-        return;
     }
 
     let benchmark = benchmark.unwrap_or_else(|| usage("--benchmark is required"));

@@ -6,7 +6,6 @@
 //! every paper artifact to its function here.
 
 pub mod ablate;
-pub mod baseline;
 pub mod figdata;
 pub mod figures;
 pub mod harness;

@@ -5,8 +5,8 @@
 //! sizes the batch so one timed sample lasts roughly `SAMPLE_TARGET`, then
 //! several samples run and the fastest is reported (ns/op and, when an
 //! element count is given, million elements per second). Results print as
-//! aligned rows; nothing is persisted — the simulator-level history lives in
-//! `BENCH_sim.json` via the `redhip-sim bench` subcommand.
+//! aligned rows and nothing is persisted; simulator-level throughput is
+//! measured by the repository's benchmark, `perfbench/`.
 
 use std::time::{Duration, Instant};
 

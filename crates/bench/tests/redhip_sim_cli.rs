@@ -1,5 +1,6 @@
-//! The `redhip-sim` binary's output errors: a path it cannot write exits
-//! 1 with a message naming the path, never by a signal.
+//! The `redhip-sim` binary's error exits: a path it cannot write exits 1
+//! and a malformed trace file exits 2, each with a message naming the
+//! path, never by a signal.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -60,5 +61,45 @@ fn telemetry_and_metrics_under_a_regular_file_exit_1() {
     assert_exit_1_naming(&smoke_run(&["--telemetry", path]), path);
     let metrics = format!("--metrics={path}");
     assert_exit_1_naming(&smoke_run(&[&metrics]), path);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 68-byte v2 trace whose only chunk is a bare 8-byte header, yet whose
+/// header and index both claim `u32::MAX` records.
+fn oversized_count_trace() -> Vec<u8> {
+    use mem_trace::codec::{MAGIC, TAIL_MAGIC, VERSION_V2};
+    let mut buf = Vec::new();
+    for word in [MAGIC, VERSION_V2, 1, 0, u32::MAX, 0] {
+        buf.extend_from_slice(&word.to_le_bytes());
+    }
+    buf.extend_from_slice(&16u64.to_le_bytes());
+    buf.extend_from_slice(&8u32.to_le_bytes());
+    buf.extend_from_slice(&u32::MAX.to_le_bytes());
+    for word in [24, 1, u64::from(u32::MAX)] {
+        buf.extend_from_slice(&word.to_le_bytes());
+    }
+    buf.extend_from_slice(&TAIL_MAGIC.to_le_bytes());
+    assert_eq!(buf.len(), 68);
+    buf
+}
+
+#[test]
+fn trace_claiming_more_records_than_its_bytes_exits_2_naming_the_path() {
+    let (dir, _) = dir_with_file("oversized-count");
+    let path = dir.join("oversized.trace");
+    std::fs::write(&path, oversized_count_trace()).expect("write trace");
+    let path = path.to_str().unwrap();
+    let out = dir.join("converted.trace");
+    let out = out.to_str().unwrap();
+    for args in [
+        &["trace", "info", "--in", path][..],
+        &["trace", "replay", "--in", path],
+        &["trace", "convert", "--in", path, "--out", out],
+    ] {
+        let o = redhip_sim(args);
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(&format!("error: {path}: ")), "{args:?}: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

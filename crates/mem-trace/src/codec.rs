@@ -377,8 +377,9 @@ pub fn parse_v2_tail(file_len: u64, tail: &[u8]) -> Result<V2Tail, DecodeError> 
 
 /// Parses and validates the index region (`index` = the bytes between
 /// `tail.index_offset` and the tail): chunks must tile the byte range
-/// `[HEADER_BYTES, index_offset)` exactly, in order, and their record
-/// counts must sum to `total_records`.
+/// `[HEADER_BYTES, index_offset)` exactly, in order, each must hold at
+/// least three payload bytes per record, and their record counts must sum
+/// to `total_records`.
 pub fn parse_v2_index(tail: &V2Tail, index: &[u8]) -> Result<V2Layout, DecodeError> {
     if index.len() as u64 != tail.chunk_count * INDEX_ENTRY_BYTES as u64 {
         return Err(DecodeError::BadFooter {
@@ -401,6 +402,13 @@ pub fn parse_v2_index(tail: &V2Tail, index: &[u8]) -> Result<V2Layout, DecodeErr
         if (bytes as usize) < chunk::CHUNK_HEADER_BYTES {
             return Err(DecodeError::BadFooter {
                 reason: "chunk smaller than its header",
+            });
+        }
+        // Every record takes at least three varint bytes, so a larger
+        // count is corrupt; rejecting it here bounds what decoders reserve.
+        if count as usize > (bytes as usize - chunk::CHUNK_HEADER_BYTES) / 3 {
+            return Err(DecodeError::BadFooter {
+                reason: "chunk record count exceeds its payload bytes",
             });
         }
         expect_offset += u64::from(bytes);

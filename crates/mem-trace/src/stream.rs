@@ -873,6 +873,39 @@ mod tests {
         assert_eq!(threaded, single);
     }
 
+    /// A 68-byte v2 file whose only chunk is a bare header, yet whose
+    /// header and index both claim `u32::MAX` records.
+    fn oversized_count_file() -> Vec<u8> {
+        use crate::codec::{MAGIC, TAIL_MAGIC, VERSION_V2};
+        let mut buf = Vec::new();
+        for word in [MAGIC, VERSION_V2, 1, 0, u32::MAX, 0] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf.extend_from_slice(&16u64.to_le_bytes());
+        buf.extend_from_slice(&8u32.to_le_bytes());
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        for word in [24, 1, u64::from(u32::MAX)] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf.extend_from_slice(&TAIL_MAGIC.to_le_bytes());
+        assert_eq!(buf.len(), 68);
+        buf
+    }
+
+    #[test]
+    fn chunk_count_beyond_its_bytes_is_rejected_before_decoding() {
+        let buf = oversized_count_file();
+        assert!(matches!(
+            crate::codec::decode(&buf),
+            Err(crate::codec::DecodeError::BadFooter { .. })
+        ));
+        let tmp = TempPath::new("oversized-count");
+        std::fs::write(&tmp.0, &buf).unwrap();
+        assert!(StreamTrace::open(&tmp.0).is_err());
+        assert!(StreamTrace::open_buffered(&tmp.0).is_err());
+        assert!(StreamTrace::from_bytes(buf).is_err());
+    }
+
     #[test]
     fn default_chunk_target_single_chunk_roundtrip() {
         let t = random_trace(10, 1000);

@@ -22,7 +22,7 @@
 use cache_sim::hierarchy::InclusionPolicy;
 use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
-use minijson::ToJson;
+use minijson::{Json, ToJson};
 use prefetch::StrideConfig;
 use sim::{run_traces, AccountingOptions, CoreTrace, Mechanism, SimConfig};
 use std::path::PathBuf;
@@ -173,9 +173,10 @@ struct Arm {
     workload: &'static str,
     mechanism: Mechanism,
     configure: fn(&mut SimConfig),
-    /// `(section, counter, value)` entries of the snapshot that prove the
-    /// arm's path ran.
-    ran: &'static [(&'static str, &'static str, u64)],
+    /// `(path, value)` entries of the snapshot that prove the arm's path
+    /// ran. A path is dotted member names, with numeric segments indexing
+    /// arrays: `"hierarchy.levels.3.evictions"` is the LLC's evictions.
+    ran: &'static [(&'static str, u64)],
 }
 
 fn stride_prefetch(cfg: &mut SimConfig) {
@@ -196,8 +197,8 @@ const ARMS: [Arm; 9] = [
         mechanism: Mechanism::Redhip,
         configure: |cfg| cfg.recalib_period = Some(1),
         ran: &[
-            ("prediction", "lookups", 19_090),
-            ("prediction", "recalibrations", 0),
+            ("prediction.lookups", 19_090),
+            ("prediction.recalibrations", 0),
         ],
     },
     Arm {
@@ -206,8 +207,8 @@ const ARMS: [Arm; 9] = [
         mechanism: Mechanism::Redhip,
         configure: |cfg| cfg.policy = InclusionPolicy::Exclusive,
         ran: &[
-            ("prediction", "false_positives", 2_250),
-            ("prediction", "recalibrations", 12),
+            ("prediction.false_positives", 2_250),
+            ("prediction.recalibrations", 12),
         ],
     },
     Arm {
@@ -216,8 +217,8 @@ const ARMS: [Arm; 9] = [
         mechanism: Mechanism::Redhip,
         configure: |cfg| cfg.policy = InclusionPolicy::Hybrid,
         ran: &[
-            ("prediction", "lookups", 19_062),
-            ("prediction", "recalibrations", 12),
+            ("prediction.lookups", 19_062),
+            ("prediction.recalibrations", 12),
         ],
     },
     Arm {
@@ -226,8 +227,8 @@ const ARMS: [Arm; 9] = [
         mechanism: Mechanism::Redhip,
         configure: stride_prefetch,
         ran: &[
-            ("prefetch", "issued", 23_994),
-            ("prefetch", "predictor_filtered", 7_924),
+            ("prefetch.issued", 23_994),
+            ("prefetch.predictor_filtered", 7_924),
         ],
     },
     Arm {
@@ -236,8 +237,8 @@ const ARMS: [Arm; 9] = [
         mechanism: Mechanism::Cbf,
         configure: stride_prefetch,
         ran: &[
-            ("prefetch", "issued", 23_994),
-            ("prefetch", "predictor_filtered", 7_924),
+            ("prefetch.issued", 23_994),
+            ("prefetch.predictor_filtered", 7_924),
         ],
     },
     Arm {
@@ -246,8 +247,8 @@ const ARMS: [Arm; 9] = [
         mechanism: Mechanism::WayMemo,
         configure: stride_prefetch,
         ran: &[
-            ("prefetch", "issued", 23_994),
-            ("prefetch", "predictor_filtered", 0),
+            ("prefetch.issued", 23_994),
+            ("prefetch.predictor_filtered", 0),
         ],
     },
     Arm {
@@ -262,7 +263,10 @@ const ARMS: [Arm; 9] = [
                 charge_invalidation_probes: true,
             };
         },
-        ran: &[("hierarchy", "memory_writebacks", 352)],
+        ran: &[
+            ("hierarchy.memory_writebacks", 352),
+            ("hierarchy.levels.3.evictions", 1_195),
+        ],
     },
     Arm {
         name: "shared_stream_ReDHiP_prefetch",
@@ -277,8 +281,9 @@ const ARMS: [Arm; 9] = [
             cfg.refs_per_core = 2 * REFS_PER_CORE;
         },
         ran: &[
-            ("prefetch", "issued", 47_998),
-            ("prefetch", "already_resident", 2_810),
+            ("prefetch.issued", 47_998),
+            ("prefetch.already_resident", 2_810),
+            ("hierarchy.levels.3.evictions", 28_809),
         ],
     },
     Arm {
@@ -291,8 +296,9 @@ const ARMS: [Arm; 9] = [
             cfg.platform.levels.last_mut().unwrap().assoc = 32;
         },
         ran: &[
-            ("hierarchy", "memory_writebacks", 225),
-            ("hierarchy", "memory_fetches", 15_649),
+            ("hierarchy.memory_writebacks", 225),
+            ("hierarchy.memory_fetches", 15_649),
+            ("hierarchy.levels.3.evictions", 745),
         ],
     },
 ];
@@ -306,9 +312,16 @@ fn golden_arm_snapshots_are_reproduced_byte_identically() {
         let got = run_config(arm.workload, &cfg);
         check_golden(&name, &got);
         let doc = minijson::parse(&got).unwrap_or_else(|e| panic!("{name}: {e}"));
-        for &(section, counter, want) in arm.ran {
-            let value = doc.get(section).unwrap().u64_of(counter).unwrap();
-            assert_eq!(value, want, "{name}: {section}.{counter}");
+        for &(path, want) in arm.ran {
+            let value = path
+                .split('.')
+                .try_fold(&doc, |node, key| match key.parse::<usize>() {
+                    Ok(i) => node.as_array()?.get(i),
+                    Err(_) => node.get(key),
+                })
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("{name}: no counter at {path}"));
+            assert_eq!(value, want, "{name}: {path}");
         }
     }
 }
