@@ -4,8 +4,7 @@
 
 use bench::micro::Group;
 use redhip::{
-    BitsHash, CbfConfig, CountingBloomFilter, ExactCountingTable, PredictionTable,
-    PresencePredictor, XorHash,
+    BitsHash, CbfConfig, CountingBloomFilter, ExactCountingTable, PredictionTable, XorHash,
 };
 
 fn hash_functions() {
@@ -28,17 +27,17 @@ fn prediction_table() {
     let g = Group::new("prediction_table", 1);
     let mut table = PredictionTable::from_capacity_bytes(64 << 10);
     for b in 0..100_000u64 {
-        table.on_fill(b * 7);
+        table.set(b * 7);
     }
     let mut x = 1u64;
     g.bench("predict", || {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        table.predict(x >> 20)
+        table.test(x >> 20)
     });
     let mut x = 1u64;
     g.bench("on_fill", || {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        table.on_fill(x >> 20);
+        table.set(x >> 20);
     });
 }
 
@@ -56,7 +55,7 @@ fn cbf_ops() {
         let mut x = 1u64;
         g.bench(&format!("predict_h{hashes}"), || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            cbf.predict(x >> 20)
+            cbf.test(x >> 20)
         });
         let mut x = 1u64;
         g.bench(&format!("fill_evict_h{hashes}"), || {

@@ -1,6 +1,6 @@
 //! The `redhip-sim` binary's error exits: a path it cannot write exits 1
 //! and a malformed trace file exits 2, each with a message naming the
-//! path, never by a signal.
+//! path, never by a signal. An extreme but valid `--chunk` is no error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -101,5 +101,45 @@ fn trace_claiming_more_records_than_its_bytes_exits_2_naming_the_path() {
         assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.contains(&format!("error: {path}: ")), "{args:?}: {err}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn largest_chunk_target_records_and_converts_without_a_signal() {
+    let (dir, _) = dir_with_file("largest-chunk");
+    let rec = dir.join("rec.trace");
+    let rec = rec.to_str().unwrap();
+    let conv = dir.join("conv.trace");
+    let conv = conv.to_str().unwrap();
+    let chunk = u32::MAX.to_string();
+    for args in [
+        &[
+            "trace",
+            "record",
+            "--benchmark",
+            "mcf",
+            "--scale",
+            "smoke",
+            "--refs",
+            "100",
+            "--cores",
+            "2",
+            "--chunk",
+            &chunk,
+            "--out",
+            rec,
+        ][..],
+        &[
+            "trace", "convert", "--in", rec, "--out", conv, "--chunk", &chunk,
+        ],
+    ] {
+        let o = redhip_sim(args);
+        let err = String::from_utf8_lossy(&o.stderr);
+        // `code()` is None when a signal (abort) ended the process.
+        assert_eq!(o.status.code(), Some(0), "{args:?}: {err}");
+    }
+    let o = redhip_sim(&["trace", "info", "--in", conv, "--json"]);
+    let info = String::from_utf8_lossy(&o.stdout);
+    assert!(info.contains("\"records\": 200"), "{info}");
     let _ = std::fs::remove_dir_all(&dir);
 }

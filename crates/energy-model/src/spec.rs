@@ -120,11 +120,6 @@ pub struct PlatformSpec {
 }
 
 impl PlatformSpec {
-    /// Number of cache levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     /// The shared LLC spec.
     pub fn llc(&self) -> &CacheSpec {
         self.levels.last().expect("platform has at least one level")

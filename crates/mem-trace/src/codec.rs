@@ -535,7 +535,9 @@ impl<W: Write> ChunkWriter<W> {
 
     /// Starts a v2 stream with `chunk_target` records per chunk (clamped
     /// to at least 1). Smaller chunks seek finer and cap reader memory
-    /// lower; larger chunks amortize framing better.
+    /// lower; larger chunks amortize framing better. Up front it reserves
+    /// at most [`DEFAULT_CHUNK_TARGET`] records; a larger chunk grows as
+    /// records arrive, so an oversized target costs nothing until used.
     pub fn with_chunk_target(mut sink: W, chunk_target: u32) -> io::Result<Self> {
         let chunk_target = chunk_target.max(1);
         let mut header = [0u8; HEADER_BYTES];
@@ -546,7 +548,7 @@ impl<W: Write> ChunkWriter<W> {
         Ok(Self {
             sink,
             chunk_target,
-            pending: Vec::with_capacity(chunk_target as usize),
+            pending: Vec::with_capacity(chunk_target.min(DEFAULT_CHUNK_TARGET) as usize),
             encode_buf: Vec::new(),
             index: Vec::new(),
             offset: HEADER_BYTES as u64,
@@ -854,6 +856,18 @@ mod tests {
         assert_eq!(summary.records, 10_000);
         assert_eq!(summary.chunks, 10_000u64.div_ceil(128));
         assert_eq!(summary.file_bytes, buf.len() as u64);
+        assert_eq!(decode(&buf).unwrap(), t);
+    }
+
+    #[test]
+    fn largest_chunk_target_reserves_only_what_arrives() {
+        let mut rng = crate::rng::Rng64::seed_from_u64(10);
+        let t = random_trace(&mut rng, 5);
+        let mut w = ChunkWriter::with_chunk_target(Vec::new(), u32::MAX).unwrap();
+        assert!(w.pending.capacity() <= DEFAULT_CHUNK_TARGET as usize);
+        w.push_all(t.iter()).unwrap();
+        let (buf, summary) = w.finish().unwrap();
+        assert_eq!((summary.records, summary.chunks), (5, 1));
         assert_eq!(decode(&buf).unwrap(), t);
     }
 }

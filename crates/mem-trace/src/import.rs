@@ -96,11 +96,6 @@ impl<R: BufRead> LackeyParser<R> {
         }
     }
 
-    /// Lines consumed so far (for progress reporting).
-    pub fn lines_read(&self) -> u64 {
-        self.lineno
-    }
-
     fn parse_err(&mut self, reason: &'static str) -> ImportError {
         self.failed = true;
         ImportError::Parse {

@@ -6,9 +6,9 @@
 //! * [`TraceRecord`] — one memory reference (program counter, data address,
 //!   load/store, and the number of non-memory instructions since the previous
 //!   reference, which the simulator charges at the workload's average CPI).
-//! * [`TraceSource`] — a stream of records (any `Iterator<Item = TraceRecord>`),
-//!   plus adapters such as `TraceSourceExt::offset_address_space` used
-//!   to give each simulated core a private physical address range.
+//! * [`TraceSource`] — a stream of records (any `Iterator<Item = TraceRecord>`).
+//!   Records carry virtual addresses; the simulator (`sim::run`) maps each
+//!   core's stream into its own physical address range.
 //! * [`synth`] — composable synthetic access-pattern building blocks
 //!   (sequential, strided, random-in-region, pointer chase, Zipf) from which
 //!   `workloads` assembles benchmark-like streams.
@@ -26,7 +26,6 @@
 
 pub mod chunk;
 pub mod codec;
-pub mod ext;
 pub mod import;
 pub mod record;
 pub mod reuse;
@@ -39,7 +38,6 @@ pub mod varint;
 pub mod zipf;
 
 pub use codec::TraceIoError;
-pub use ext::TraceSourceExt;
 pub use record::{MemOp, TraceRecord};
 pub use reuse::ReuseHistogram;
 pub use rng::Rng64;
@@ -157,11 +155,6 @@ impl VecTrace {
     /// Iterates the records by value (cloning the backing storage lazily).
     pub fn iter(&self) -> impl Iterator<Item = TraceRecord> + '_ {
         self.records.iter().copied()
-    }
-
-    /// Consumes the trace and returns an owning iterator.
-    pub fn into_iter_records(self) -> std::vec::IntoIter<TraceRecord> {
-        self.records.into_iter()
     }
 }
 

@@ -5,9 +5,12 @@
 //! Everything is `std`-only and allocation-free on the record path. All
 //! metrics are defined *centrally* in this crate as `static` items (see
 //! the "registry" section below), so instrumented crates — the sweep
-//! engine, trace ingestion, the predictor registry — just call e.g.
+//! engine and trace ingestion — just call e.g.
 //! `metrics::SWEEP_CACHE_HITS.add(n)` without any registration protocol,
 //! and the snapshot writer can enumerate every metric from one table.
+//! Simulated events (predictor lookups, bypasses, false positives) are not
+//! registry metrics: they belong to one run, and every `RunResult`
+//! reports them in its `prediction` statistics.
 //!
 //! The registry is **disabled by default**: every record operation first
 //! loads one relaxed [`AtomicBool`] and returns, so uninstrumented runs
@@ -192,15 +195,6 @@ pub static TRACE_CHUNKS_DECODED: Counter = Counter::new("trace.chunks_decoded");
 /// Feed refills that stalled on decoding at least one new chunk.
 pub static TRACE_REFILL_STALLS: Counter = Counter::new("trace.refill_stalls");
 
-/// Predictor probes (one per L1 miss under a predicting mechanism).
-pub static PRED_PROBES: Counter = Counter::new("pred.probes");
-/// Probes that produced a confident steer (level or off-chip).
-pub static PRED_STEERED: Counter = Counter::new("pred.steered");
-/// Confident steers that turned out wrong (penalty charged).
-pub static PRED_MISPREDICTS: Counter = Counter::new("pred.mispredicts");
-/// L1 hits whose tag-way reads were skipped by a memo (WayMemo).
-pub static PRED_MEMO_SKIPS: Counter = Counter::new("pred.memo_skips");
-
 /// Sweep planning (building the deduped job graph).
 pub static PHASE_PLAN: Timer = Timer::new("phase.plan");
 /// Simulation proper (the sweep workers running cells, or a single run).
@@ -224,10 +218,6 @@ fn registry() -> Vec<Metric> {
         C(&SWEEP_REFS_SIMULATED),
         C(&TRACE_CHUNKS_DECODED),
         C(&TRACE_REFILL_STALLS),
-        C(&PRED_PROBES),
-        C(&PRED_STEERED),
-        C(&PRED_MISPREDICTS),
-        C(&PRED_MEMO_SKIPS),
         T(&PHASE_PLAN),
         T(&PHASE_SIMULATE),
         T(&PHASE_RENDER),

@@ -88,14 +88,6 @@ impl Json {
         }
     }
 
-    /// The object members.
-    pub fn as_object(&self) -> Option<&Vec<(String, Json)>> {
-        match self {
-            Json::Obj(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// Looks up an object member.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

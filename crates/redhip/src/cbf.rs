@@ -4,7 +4,6 @@
 //! ReDHiP in the paper's comparison.
 
 use crate::hash::XorHash;
-use crate::traits::{Prediction, PresencePredictor};
 
 /// CBF design parameters (§II: entries, counter width, hash function count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,20 +93,17 @@ impl CountingBloomFilter {
     pub fn nonzero_counters(&self) -> u64 {
         self.counters.iter().filter(|&&c| c != 0).count() as u64
     }
-}
 
-impl PresencePredictor for CountingBloomFilter {
-    fn predict(&self, block: u64) -> Prediction {
-        // Bloom semantics: absent iff ANY hash position is zero.
-        for h in &self.hashes {
-            if self.counters[h.index(block) as usize] == 0 {
-                return Prediction::Absent;
-            }
-        }
-        Prediction::MaybePresent
+    /// Whether `block` may be resident: Bloom semantics, so `false` (some
+    /// hash position is zero) proves absence.
+    pub fn test(&self, block: u64) -> bool {
+        self.hashes
+            .iter()
+            .all(|h| self.counters[h.index(block) as usize] != 0)
     }
 
-    fn on_fill(&mut self, block: u64) {
+    /// Records that `block` was installed in the covered cache.
+    pub fn on_fill(&mut self, block: u64) {
         for h in &self.hashes {
             let i = h.index(block) as usize;
             if self.disabled[i] {
@@ -123,7 +119,8 @@ impl PresencePredictor for CountingBloomFilter {
         }
     }
 
-    fn on_evict(&mut self, block: u64) {
+    /// Records that `block` left the covered cache.
+    pub fn on_evict(&mut self, block: u64) {
         for h in &self.hashes {
             let i = h.index(block) as usize;
             if self.disabled[i] {
@@ -135,10 +132,6 @@ impl PresencePredictor for CountingBloomFilter {
             );
             self.counters[i] = self.counters[i].saturating_sub(1);
         }
-    }
-
-    fn wants_eviction_events(&self) -> bool {
-        true
     }
 }
 
@@ -181,12 +174,11 @@ mod tests {
     #[test]
     fn fill_then_evict_restores_absent() {
         let mut f = small();
-        assert_eq!(f.predict(42), Prediction::Absent);
+        assert!(!f.test(42));
         f.on_fill(42);
-        assert_eq!(f.predict(42), Prediction::MaybePresent);
+        assert!(f.test(42));
         f.on_evict(42);
-        assert_eq!(f.predict(42), Prediction::Absent);
-        assert!(f.wants_eviction_events());
+        assert!(!f.test(42));
     }
 
     #[test]
@@ -202,9 +194,9 @@ mod tests {
         f.on_fill(a);
         f.on_fill(b);
         f.on_evict(a);
-        assert_eq!(f.predict(b), Prediction::MaybePresent);
+        assert!(f.test(b));
         f.on_evict(b);
-        assert_eq!(f.predict(b), Prediction::Absent);
+        assert!(!f.test(b));
     }
 
     #[test]
@@ -230,7 +222,7 @@ mod tests {
         for &b in &aliases {
             f.on_evict(b);
         }
-        assert_eq!(f.predict(aliases[0]), Prediction::MaybePresent);
+        assert!(f.test(aliases[0]));
     }
 
     #[test]
@@ -241,9 +233,9 @@ mod tests {
             num_hashes: 3,
         });
         f.on_fill(1234);
-        assert_eq!(f.predict(1234), Prediction::MaybePresent);
+        assert!(f.test(1234));
         f.on_evict(1234);
-        assert_eq!(f.predict(1234), Prediction::Absent);
+        assert!(!f.test(1234));
     }
 
     #[test]
@@ -282,7 +274,7 @@ mod tests {
                     f.on_evict(block);
                 }
                 for &r in &resident {
-                    assert_eq!(f.predict(r), Prediction::MaybePresent);
+                    assert!(f.test(r));
                 }
             }
         }

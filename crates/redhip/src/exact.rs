@@ -10,7 +10,6 @@
 //! 1-bit design would have to become if recalibration were free.
 
 use crate::hash::BitsHash;
-use crate::traits::{Prediction, PresencePredictor};
 
 /// Exact per-index reference counts under the bits-hash.
 #[derive(Debug, Clone)]
@@ -38,38 +37,27 @@ impl ExactCountingTable {
         Self::new(bits.trailing_zeros())
     }
 
-    /// Number of indices with a non-zero count.
-    pub fn occupied(&self) -> u64 {
-        self.counts.iter().filter(|&&c| c > 0).count() as u64
-    }
-
     /// Index width `p`.
     pub fn index_bits(&self) -> u32 {
         self.hash.index_bits
     }
-}
 
-impl PresencePredictor for ExactCountingTable {
-    fn predict(&self, block: u64) -> Prediction {
-        if self.counts[self.hash.index(block) as usize] > 0 {
-            Prediction::MaybePresent
-        } else {
-            Prediction::Absent
-        }
+    /// Whether a resident block aliases `block`'s index; `false` proves
+    /// absence.
+    pub fn test(&self, block: u64) -> bool {
+        self.counts[self.hash.index(block) as usize] > 0
     }
 
-    fn on_fill(&mut self, block: u64) {
+    /// Records that `block` was installed in the covered cache.
+    pub fn on_fill(&mut self, block: u64) {
         self.counts[self.hash.index(block) as usize] += 1;
     }
 
-    fn on_evict(&mut self, block: u64) {
+    /// Records that `block` left the covered cache.
+    pub fn on_evict(&mut self, block: u64) {
         let c = &mut self.counts[self.hash.index(block) as usize];
         debug_assert!(*c > 0, "eviction without matching fill");
         *c = c.saturating_sub(1);
-    }
-
-    fn wants_eviction_events(&self) -> bool {
-        true
     }
 }
 
@@ -91,15 +79,11 @@ mod tests {
         let mut t = ExactCountingTable::new(8);
         t.on_fill(5);
         t.on_fill(5 + 256); // alias
-        assert_eq!(t.predict(5), Prediction::MaybePresent);
+        assert!(t.test(5));
         t.on_evict(5);
-        assert_eq!(
-            t.predict(5),
-            Prediction::MaybePresent,
-            "alias still resident"
-        );
+        assert!(t.test(5), "alias still resident");
         t.on_evict(5 + 256);
-        assert_eq!(t.predict(5), Prediction::Absent);
+        assert!(!t.test(5));
     }
 
     #[test]
@@ -132,7 +116,7 @@ mod tests {
                 let mut fresh = PredictionTable::new(7);
                 fresh.recalibrate_from(resident.iter().copied());
                 for probe in [block, block ^ 1, block.wrapping_add(128), 0] {
-                    assert_eq!(exact.predict(probe), fresh.predict(probe));
+                    assert_eq!(exact.test(probe), fresh.test(probe));
                 }
             }
         }

@@ -20,8 +20,15 @@
 //!   hardware's cycle and energy cost.
 //! * [`cbf::CountingBloomFilter`] — the prior-work baseline (Ghosh et al.):
 //!   xor-hashed k-bit saturating counters updated on fills *and* evictions.
-//! * [`bank::PredictorBank`] — a set of independently-sized tables for the
-//!   fully-exclusive configuration (§III-C), one per cache instance.
+//! * [`exact::ExactCountingTable`] — per-index counts of resident aliases:
+//!   the 1-bit table recalibrated after every L1 miss (Fig. 12's period 1).
+//!
+//! The fully-exclusive configuration (§III-C) uses one 1-bit table per
+//! cache, each sized by [`PredictionTable::with_overhead_ratio`].
+//!
+//! The three presence tables answer `test(block)` alike: `false` proves the
+//! block absent, so bypassing is safe (no false negatives); `true` is only
+//! a hint that it may be present (a false positive costs wasted lookups).
 //!
 //! The crate is substrate-agnostic: it never touches a cache directly. The
 //! `sim` crate feeds it fill/evict events and tag-array iterators.
@@ -46,7 +53,6 @@ pub(crate) fn prefault<T: Copy>(v: &mut [T]) {
     }
 }
 
-pub mod bank;
 pub mod cbf;
 pub mod exact;
 pub mod hash;
@@ -54,10 +60,8 @@ pub mod level_table;
 pub mod perceptron;
 pub mod recalib;
 pub mod table;
-pub mod traits;
 pub mod waymemo;
 
-pub use bank::PredictorBank;
 pub use cbf::{CbfConfig, CountingBloomFilter};
 pub use exact::ExactCountingTable;
 pub use hash::{BitsHash, XorHash};
@@ -65,5 +69,4 @@ pub use level_table::{LevelPredictor, LEVEL_MEMORY, LEVEL_UNTRAINED};
 pub use perceptron::OffChipPerceptron;
 pub use recalib::{RecalibCost, RecalibrationEngine};
 pub use table::PredictionTable;
-pub use traits::{Prediction, PresencePredictor};
 pub use waymemo::WayMemo;

@@ -1,7 +1,6 @@
 //! The ReDHiP prediction table: direct-mapped, 1-bit entries, bits-hash.
 
 use crate::hash::BitsHash;
-use crate::traits::{Prediction, PresencePredictor};
 
 /// Direct-mapped bitmap predicting LLC residency.
 ///
@@ -47,6 +46,15 @@ impl PredictionTable {
             "table capacity must hold a power-of-two number of 1-bit entries"
         );
         Self::new(bits.trailing_zeros())
+    }
+
+    /// Builds the table for one cache of the fully-exclusive configuration
+    /// (§III-C): `ratio` of the covered cache's capacity, rounded down to a
+    /// power-of-two entry count of at least 64.
+    pub fn with_overhead_ratio(cache_capacity_bytes: u64, ratio: f64) -> Self {
+        assert!(ratio > 0.0 && ratio < 1.0);
+        let bits = ((cache_capacity_bytes as f64 * ratio) * 8.0) as u64;
+        Self::new((63 - bits.leading_zeros().min(57)).max(6))
     }
 
     /// Index width `p`.
@@ -107,36 +115,6 @@ impl PredictionTable {
     }
 }
 
-impl PresencePredictor for PredictionTable {
-    fn predict(&self, block: u64) -> Prediction {
-        if self.test(block) {
-            Prediction::MaybePresent
-        } else {
-            Prediction::Absent
-        }
-    }
-
-    fn on_fill(&mut self, block: u64) {
-        self.set(block);
-    }
-
-    fn on_evict(&mut self, _block: u64) {
-        // 1-bit entries intentionally ignore evictions (§III-A).
-    }
-
-    fn wants_eviction_events(&self) -> bool {
-        false
-    }
-
-    fn recalibrate(&mut self, resident: &mut dyn Iterator<Item = u64>) {
-        self.recalibrate_from(resident);
-    }
-
-    fn supports_recalibration(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,41 +145,60 @@ mod tests {
     }
 
     #[test]
-    fn fill_sets_bit_evict_does_not_clear() {
+    fn overhead_ratio_sizing_matches_paper() {
+        // 0.78% of a 64 MB LLC → 512 KB → 2^22 entries; of 4 MB L3 → 32 KB;
+        // of 256 KB L2 → 2 KB.
+        for (cache, table) in [
+            (256 << 10, 2 << 10),
+            (4 << 20, 32 << 10),
+            (64 << 20, 512 << 10),
+        ] {
+            let t = PredictionTable::with_overhead_ratio(cache, 0.0078125);
+            assert_eq!(t.capacity_bytes(), table);
+        }
+    }
+
+    #[test]
+    fn tiny_caches_get_minimum_table() {
+        let t = PredictionTable::with_overhead_ratio(1 << 10, 0.0078125);
+        assert!(t.entries() >= 64);
+    }
+
+    #[test]
+    fn fill_sets_bit_until_recalibration() {
         let mut t = PredictionTable::new(10);
-        assert_eq!(t.predict(5), Prediction::Absent);
-        t.on_fill(5);
-        assert_eq!(t.predict(5), Prediction::MaybePresent);
-        t.on_evict(5);
-        assert_eq!(
-            t.predict(5),
-            Prediction::MaybePresent,
-            "1-bit: stale positive"
-        );
-        assert!(!t.wants_eviction_events());
+        assert!(!t.test(5));
+        t.set(5);
+        assert!(t.test(5));
+        // No eviction input exists: the stale positive stays until the
+        // table is rebuilt from the (now empty) resident set.
+        t.set(6);
+        assert!(t.test(5), "1-bit: stale positive");
+        t.recalibrate_from(std::iter::empty());
+        assert!(!t.test(5));
     }
 
     #[test]
     fn aliasing_blocks_share_a_bit() {
         let mut t = PredictionTable::new(8);
-        t.on_fill(3);
+        t.set(3);
         // 3 + 256 aliases with 3 under an 8-bit bits-hash.
-        assert_eq!(t.predict(3 + 256), Prediction::MaybePresent);
-        assert_eq!(t.predict(4), Prediction::Absent);
+        assert!(t.test(3 + 256));
+        assert!(!t.test(4));
     }
 
     #[test]
     fn recalibration_clears_stale_bits() {
         let mut t = PredictionTable::new(12);
         for b in 0..100u64 {
-            t.on_fill(b);
+            t.set(b);
         }
         assert_eq!(t.popcount(), 100);
         // Cache now only holds blocks 0..10.
         t.recalibrate_from(0..10u64);
         assert_eq!(t.popcount(), 10);
-        assert_eq!(t.predict(50), Prediction::Absent);
-        assert_eq!(t.predict(5), Prediction::MaybePresent);
+        assert!(!t.test(50));
+        assert!(t.test(5));
     }
 
     #[test]
@@ -209,30 +206,20 @@ mod tests {
         let resident: Vec<u64> = vec![1, 77, 4096, 123_456, 99];
         let mut stale = PredictionTable::new(14);
         for b in 0..500u64 {
-            stale.on_fill(b * 3);
+            stale.set(b * 3);
         }
         stale.recalibrate_from(resident.iter().copied());
 
         let mut fresh = PredictionTable::new(14);
         for &b in &resident {
-            fresh.on_fill(b);
+            fresh.set(b);
         }
         assert_eq!(stale.words, fresh.words);
     }
 
-    #[test]
-    fn trait_recalibrate_routes_to_rebuild() {
-        let mut t = PredictionTable::new(10);
-        t.on_fill(900);
-        assert!(t.supports_recalibration());
-        PresencePredictor::recalibrate(&mut t, &mut (0..4u64));
-        assert_eq!(t.predict(900), Prediction::Absent);
-        assert_eq!(t.predict(2), Prediction::MaybePresent);
-    }
-
     /// The bypass-safety invariant: under arbitrary interleavings of
     /// fills, evictions, and recalibrations mirroring a ground-truth
-    /// resident set, no resident block is ever predicted Absent.
+    /// resident set, no resident block ever tests absent.
     /// Deterministic randomized test.
     #[test]
     fn no_false_negatives_randomized() {
@@ -248,18 +235,17 @@ mod tests {
                 match op {
                     0 => {
                         if resident.insert(block) {
-                            t.on_fill(block);
+                            t.set(block);
                         }
                     }
                     1 => {
-                        if resident.remove(&block) {
-                            t.on_evict(block);
-                        }
+                        // Evictions reach no 1-bit table (§III-A).
+                        resident.remove(&block);
                     }
                     _ => t.recalibrate_from(resident.iter().copied()),
                 }
                 for &r in &resident {
-                    assert_eq!(t.predict(r), Prediction::MaybePresent);
+                    assert!(t.test(r));
                 }
             }
         }
@@ -278,13 +264,13 @@ mod tests {
             let probe: Vec<u64> = (0..32).map(|_| splitmix(&mut st) % 100_000).collect();
             let mut t = PredictionTable::new(10);
             for b in 0..2000u64 {
-                t.on_fill(b); // heavy staleness
+                t.set(b); // heavy staleness
             }
             t.recalibrate_from(resident.iter().copied());
             let hash = BitsHash::new(10);
             let live: HashSet<u64> = resident.iter().map(|&b| hash.index(b)).collect();
             for p in probe {
-                let predicted = t.predict(p) == Prediction::MaybePresent;
+                let predicted = t.test(p);
                 assert_eq!(predicted, live.contains(&hash.index(p)));
             }
         }

@@ -41,10 +41,8 @@ pub use config::{
     AccountingOptions, CbfParams, LevelPredParams, Mechanism, PerceptronParams, SimConfig,
     WayMemoParams,
 };
+pub use metrics::Comparison;
 pub use predictor::{parse_spec, spec_string, MechanismInfo, ParsedSpec, REGISTRY};
-// `crate::` disambiguates the local module from the `metrics` registry
-// crate the runtime instrumentation lives in.
-pub use crate::metrics::Comparison;
 pub use run::{
     run_feeds, run_feeds_with, run_traces, run_traces_with, CoreFeed, CoreTrace, RunResult,
 };

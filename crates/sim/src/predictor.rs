@@ -23,8 +23,7 @@ use cache_sim::traversal::{LevelId, Traversal};
 use energy_model::{CacheSpec, PredictorSpec};
 use redhip::{
     CbfConfig, CountingBloomFilter, ExactCountingTable, LevelPredictor, OffChipPerceptron,
-    PredictionTable, PredictorBank, PresencePredictor, RecalibCost, RecalibrationEngine, WayMemo,
-    LEVEL_MEMORY, LEVEL_UNTRAINED,
+    PredictionTable, RecalibCost, RecalibrationEngine, WayMemo, LEVEL_MEMORY, LEVEL_UNTRAINED,
 };
 
 // ---------------------------------------------------------------- registry
@@ -369,8 +368,8 @@ impl Predictor {
             // The branchless probe: one load + mask. A zero bit proves
             // absence (no false negatives, ever).
             Self::Table { table, .. } => Steer::presence(table.test(block)),
-            Self::Exact(t) => Steer::presence(!t.predict(block).is_absent()),
-            Self::Cbf(f) => Steer::presence(!f.predict(block).is_absent()),
+            Self::Exact(t) => Steer::presence(t.test(block)),
+            Self::Cbf(f) => Steer::presence(f.test(block)),
             Self::Bank(bank) => Steer::Lookup(bank.plan(core, block)),
             Self::LevelPred {
                 table,
@@ -398,8 +397,8 @@ impl Predictor {
     pub(crate) fn proves_absent(&self, block: u64) -> Option<bool> {
         match self {
             Self::Table { table, .. } => Some(!table.test(block)),
-            Self::Exact(t) => Some(t.predict(block).is_absent()),
-            Self::Cbf(f) => Some(f.predict(block).is_absent()),
+            Self::Exact(t) => Some(!t.test(block)),
+            Self::Cbf(f) => Some(!f.test(block)),
             _ => None,
         }
     }
@@ -445,8 +444,20 @@ impl Predictor {
                     write(pt_nj);
                 }
             }
-            Self::Exact(p) => count_llc_events(p, t, llc, pt_nj, write),
-            Self::Cbf(p) => count_llc_events(p, t, llc, pt_nj, write),
+            Self::Exact(p) => count_llc_events(t, llc, pt_nj, write, |block, fill| {
+                if fill {
+                    p.on_fill(block)
+                } else {
+                    p.on_evict(block)
+                }
+            }),
+            Self::Cbf(p) => count_llc_events(t, llc, pt_nj, write, |block, fill| {
+                if fill {
+                    p.on_fill(block)
+                } else {
+                    p.on_evict(block)
+                }
+            }),
             Self::Bank(bank) => bank.update(core, t, write),
             _ => {}
         }
@@ -542,20 +553,21 @@ impl Predictor {
     }
 }
 
-/// Feeds a counting table the LLC fills and then the LLC evictions of `t`.
+/// Feeds a counting table the LLC fills and then the LLC evictions of `t`:
+/// `count(block, true)` per fill, `count(block, false)` per eviction.
 fn count_llc_events(
-    p: &mut impl PresencePredictor,
     t: &Traversal,
     llc: LevelId,
     nj: f64,
     mut write: impl FnMut(f64),
+    mut count: impl FnMut(u64, bool),
 ) {
     for block in t.inserted_at(llc) {
-        p.on_fill(block);
+        count(block, true);
         write(nj);
     }
     for block in t.removed_at(llc) {
-        p.on_evict(block);
+        count(block, false);
         write(nj);
     }
 }
@@ -564,7 +576,7 @@ fn count_llc_events(
 /// cache. Table `(level-1) * cores + core` covers a private level of one
 /// core; the last table covers the shared LLC.
 pub(crate) struct Bank {
-    tables: PredictorBank,
+    tables: Vec<PredictionTable>,
     /// Per-table write energy, nJ (same order as the tables).
     write_nj: Vec<f64>,
     /// Per-table recalibration engines (same order).
@@ -586,12 +598,13 @@ impl Bank {
             .flat_map(|lvl| std::iter::repeat_n(&p.levels[lvl], cores))
             .chain([p.llc()])
             .collect();
-        let capacities: Vec<u64> = covered.iter().map(|s| s.capacity_bytes).collect();
-        let tables = PredictorBank::with_overhead_ratio(&capacities, ratio);
+        let tables: Vec<PredictionTable> = covered
+            .iter()
+            .map(|s| PredictionTable::with_overhead_ratio(s.capacity_bytes, ratio))
+            .collect();
         let mut write_nj = Vec::with_capacity(tables.len());
         let mut engines = Vec::with_capacity(tables.len());
-        for (i, spec) in covered.into_iter().enumerate() {
-            let table = tables.table(i);
+        for (spec, table) in covered.into_iter().zip(&tables) {
             let nj = pt_spec.scaled_to(table.capacity_bytes()).access_energy_nj;
             write_nj.push(nj);
             engines.push(RecalibrationEngine::new(
@@ -627,11 +640,7 @@ impl Bank {
     fn plan(&self, core: usize, block: u64) -> u8 {
         let mut levels = 0;
         for lvl in 1..=self.llc {
-            if !self
-                .tables
-                .predict(self.index(lvl, core), block)
-                .is_absent()
-            {
+            if self.tables[self.index(lvl, core)].test(block) {
                 levels |= 1 << lvl;
             }
         }
@@ -646,7 +655,7 @@ impl Bank {
                 continue;
             }
             let idx = self.index(lvl, core);
-            self.tables.on_fill(idx, block);
+            self.tables[idx].set(block);
             write(self.write_nj[idx]);
         }
     }
@@ -660,15 +669,14 @@ impl Bank {
             for core in 0..self.cores {
                 let idx = self.index(lvl, core);
                 let cache = hierarchy.private_cache(core, lvl);
-                self.tables.recalibrate(idx, cache.resident_blocks());
+                self.tables[idx].recalibrate_from(cache.resident_blocks());
                 let cost = self.engines[idx].cost();
                 cycles = cycles.max(cost.cycles);
                 energy_nj += cost.energy_nj;
             }
         }
         let idx = self.tables.len() - 1;
-        self.tables
-            .recalibrate(idx, hierarchy.llc().resident_blocks());
+        self.tables[idx].recalibrate_from(hierarchy.llc().resident_blocks());
         let cost = self.engines[idx].cost();
         RecalibCost {
             cycles: cycles.max(cost.cycles),

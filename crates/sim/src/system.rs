@@ -187,7 +187,6 @@ impl<O: SimObserver> System<O> {
                     self.pred_stats.lookups += 1;
                     if memoized {
                         self.pred_stats.bypasses += 1;
-                        metrics::PRED_MEMO_SKIPS.incr();
                         self.way_hit_nj
                     } else {
                         self.l1_hit_nj
@@ -275,7 +274,6 @@ impl<O: SimObserver> System<O> {
             return;
         };
         self.pred_stats.lookups += 1;
-        metrics::PRED_PROBES.incr();
         if let Some(nj) = self.probe_nj {
             self.energy.add_predictor(nj);
             self.clocks[core] += self.pt_spec.lookup_latency() as f64;
@@ -335,7 +333,6 @@ impl<O: SimObserver> System<O> {
         first: (LevelId, bool),
         correct: bool,
     ) {
-        metrics::PRED_STEERED.incr();
         let walked = t.lookups;
         t.lookups.clear();
         t.lookups.push((0, false));
@@ -362,7 +359,6 @@ impl<O: SimObserver> System<O> {
         self.clocks[core] += self.predictor.mispredict_penalty() as f64;
         self.pred_stats.false_positives += 1;
         self.obs.on_false_positive(core);
-        metrics::PRED_MISPREDICTS.incr();
     }
 
     /// Looks up, in order, the levels below L1 whose bit is set in
@@ -604,11 +600,6 @@ impl<O: SimObserver> System<O> {
             self.cycles(),
             self.cfg.mechanism.has_predictor(),
         )
-    }
-
-    /// The attached observer, mutably (e.g. to flush a heartbeat).
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
     }
 
     /// Ends observation: delivers the final

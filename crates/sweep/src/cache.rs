@@ -72,11 +72,6 @@ impl ResultCache {
         }
     }
 
-    /// Whether a disk layer is configured.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
     fn disk_path(&self, hash: u64) -> Option<PathBuf> {
         self.disk
             .as_ref()

@@ -336,11 +336,6 @@ impl WindowedCollector {
         &self.records
     }
 
-    /// Consumes the collector, returning the record stream.
-    pub fn into_records(self) -> Vec<TelemetryRecord> {
-        self.records
-    }
-
     /// Iterator over closed window samples only.
     pub fn windows(&self) -> impl Iterator<Item = &WindowSample> {
         self.records.iter().filter_map(|r| match r {

@@ -17,15 +17,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Multiplier applied to the Demo-scale byte footprints.
-    pub fn mem_factor(self) -> u64 {
-        match self {
-            Scale::Smoke => 1, // divided separately, see bytes()
-            Scale::Demo => 1,
-            Scale::Paper => 16,
-        }
-    }
-
     /// Scales a Demo-reference byte size.
     pub fn bytes(self, demo_bytes: u64) -> u64 {
         match self {

@@ -13,9 +13,6 @@ use mem_trace::synth::{LineTouches, Region, SequentialStream, WeightedMix, ZipfO
 const LINKS: u64 = 0x06_0000_0000;
 const SITES: u64 = 0x06_8000_0000;
 
-/// SU(3) matrix record: 18 doubles (the dense-sweep granularity).
-pub const SU3_BYTES: u64 = 144;
-
 /// Builds the milc-like trace for one core.
 pub fn trace(core: usize, scale: Scale) -> DynTrace {
     let link_bytes = scale.bytes(5 << 20);

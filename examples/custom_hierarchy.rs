@@ -74,7 +74,7 @@ fn main() {
             let mut hit = false;
             for lvl in 1..hierarchy.levels() {
                 // Consult the LLC table before paying its lookup.
-                if lvl == llc_level && table.predict(block) == Prediction::Absent {
+                if lvl == llc_level && !table.test(block) {
                     bypass_hits += 1;
                     break;
                 }
@@ -92,7 +92,7 @@ fn main() {
         hierarchy.absorb_stats(&t);
         // Keep the table in sync with LLC insertions.
         for b in t.inserted_at(llc_level) {
-            table.on_fill(b);
+            table.set(b);
         }
         // Recalibrate occasionally from the LLC tag array.
         if step % 100_000 == 99_999 {

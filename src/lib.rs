@@ -39,13 +39,9 @@ pub use workloads;
 pub mod prelude {
     pub use cache_sim::{DeepHierarchy, HierarchyConfig, InclusionPolicy, ReplacementPolicy};
     pub use energy_model::presets::{demo_scale, table_i};
-    pub use mem_trace::{
-        MemOp, ShardSpec, StreamTrace, TraceFeed, TraceRecord, TraceSource, TraceSourceExt,
-    };
+    pub use mem_trace::{MemOp, ShardSpec, StreamTrace, TraceFeed, TraceRecord, TraceSource};
     pub use prefetch::{StrideConfig, StridePrefetcher};
-    pub use redhip::{
-        CountingBloomFilter, Prediction, PredictionTable, PresencePredictor, RecalibrationEngine,
-    };
+    pub use redhip::{CountingBloomFilter, PredictionTable, RecalibrationEngine};
     pub use sim::{
         run_feeds, run_traces, run_traces_with, Comparison, CoreFeed, CoreTrace, Heartbeat,
         HeartbeatObserver, Mechanism, NullObserver, RecalibMarker, RunResult, SimConfig,
