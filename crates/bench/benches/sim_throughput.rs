@@ -6,13 +6,13 @@
 
 use bench::micro::Group;
 use energy_model::presets::demo_scale;
-use sim::{run_traces, run_traces_with, CoreTrace, Mechanism, SimConfig};
+use sim::{run_traces, run_traces_with, Mechanism, SimConfig};
 use telemetry::{Heartbeat, HeartbeatObserver, NullObserver, Tee, WindowedCollector};
-use workloads::{Benchmark, Scale};
+use workloads::{Benchmark, DynTrace, Scale};
 
 const REFS: usize = 5_000;
 
-fn traces() -> Vec<CoreTrace> {
+fn traces() -> Vec<DynTrace> {
     (0..8)
         .map(|c| Benchmark::Mcf.trace(c, Scale::Smoke))
         .collect()

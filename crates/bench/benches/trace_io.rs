@@ -8,18 +8,18 @@
 use bench::micro::Group;
 use mem_trace::codec::DEFAULT_CHUNK_TARGET;
 use mem_trace::stream::{write_v2_file, StreamTrace};
-use mem_trace::{ShardSpec, TraceFeed, VecTrace};
+use mem_trace::{ShardSpec, TraceFeed, TraceRecord};
 use sim::{CoreFeed, Mechanism, SimConfig};
 use workloads::{Benchmark, Scale};
 
 const RECORDS: usize = 100_000;
 
-fn encode(trace: &VecTrace) -> Vec<u8> {
+fn encode(trace: &[TraceRecord]) -> Vec<u8> {
     mem_trace::codec::encode_v2_chunked(trace, DEFAULT_CHUNK_TARGET)
 }
 
 fn main() {
-    let records: VecTrace = Benchmark::Mcf
+    let records: Vec<TraceRecord> = Benchmark::Mcf
         .trace(0, Scale::Smoke)
         .take(RECORDS)
         .collect();
@@ -39,7 +39,7 @@ fn main() {
 
     // File-backed backends: mmap pages vs positioned reads.
     let path = std::env::temp_dir().join(format!("redhip-trace-io-{}.trace", std::process::id()));
-    write_v2_file(&path, records.iter(), DEFAULT_CHUNK_TARGET).expect("write");
+    write_v2_file(&path, records.iter().copied(), DEFAULT_CHUNK_TARGET).expect("write");
     let mapped = StreamTrace::open(&path).expect("open");
     g.bench(&format!("decode_{}", mapped.backend()), || {
         let mut acc = 0u64;

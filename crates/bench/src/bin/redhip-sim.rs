@@ -1,46 +1,51 @@
 //! `redhip-sim` — run one configuration on one workload and report.
 //!
-//! ```text
-//! redhip-sim --benchmark mcf --mechanism redhip [options]
-//!
-//!   --benchmark NAME     bwaves|GemsFDTD|lbm|mcf|milc|soplex|astar|
-//!                        cactusADM|mix|pmf|blas            (required)
-//!   --mechanism M        registry spec string (default redhip):
-//!                        base|redhip|phased|oracle|cbf[:bits=..,hashes=..]|
-//!                        level-pred[:conf=..,max=..,penalty=..]|
-//!                        perceptron[:theta=..,history=..]|
-//!                        way-memo[:entries=..,penalty=..]
-//!   --policy P           inclusive|exclusive|hybrid        (default inclusive)
-//!   --scale S            smoke|demo|paper                  (default demo)
-//!   --refs N             references per core               (default per scale)
-//!   --pt-bytes N         prediction-table size override
-//!   --recalib N          recalibration period in L1 misses (0 = never)
-//!   --prefetch           enable the stride prefetcher
-//!   --compare            also run Base and print the comparison
-//!   --json FILE          write the RunResult as JSON
-//!   --telemetry FILE     write windowed time-series telemetry as JSONL
-//!                        (window samples + recalibration markers)
-//!   --window N           telemetry window width in refs per core
-//!                        (default 100000)
-//!   --metrics[=FILE]     enable the process metrics registry and write a
-//!                        redhip-metrics/v1 snapshot plus the run manifest
-//!                        (with phase timings) as JSONL (default
-//!                        metrics.jsonl)
-//!   --quiet              suppress the stderr heartbeat
-//!
-//! Trace toolchain (see `bench::tracecli` for flags):
-//!
-//!   redhip-sim trace record   record a benchmark's streams to a v2 file
-//!   redhip-sim trace convert  v1/v2/lackey-text -> chunked v2
-//!   redhip-sim trace info     print a trace file's layout and stats
-//!   redhip-sim trace replay   stream a trace file through the simulator
-//! ```
+//! [`USAGE`] documents the flags, and `redhip-sim --help` prints it; the
+//! `trace` subcommands are documented in [`bench::tracecli::USAGE`].
 
 use bench::harness::{mechanism_config, run_workload, run_workload_with, FigureScale};
 use cache_sim::InclusionPolicy;
 use minijson::ToJson;
 use sim::{Comparison, Heartbeat, HeartbeatObserver, Mechanism, RunResult, Tee, WindowedCollector};
 use workloads::Benchmark;
+
+/// The usage text, printed by `--help`.
+const USAGE: &str = "\
+redhip-sim --benchmark mcf --mechanism redhip [options]
+
+  --benchmark NAME     bwaves|GemsFDTD|lbm|mcf|milc|soplex|astar|
+                       cactusADM|mix|pmf|blas            (required)
+  --mechanism M        registry spec string (default redhip):
+                       base|redhip|phased|oracle|cbf[:bits=..,hashes=..]|
+                       level-pred[:conf=..,max=..,penalty=..]|
+                       perceptron[:theta=..,history=..]|
+                       way-memo[:entries=..,penalty=..]
+  --policy P           inclusive|exclusive|hybrid        (default inclusive)
+  --scale S            smoke|demo|paper                  (default demo)
+  --refs N             references per core               (default per scale)
+  --pt-bytes N         prediction-table size override
+  --recalib N          recalibration period in L1 misses (0 = never)
+  --prefetch           enable the stride prefetcher
+  --compare            also run Base and print the comparison
+  --json FILE          write the RunResult as JSON
+  --telemetry FILE     write windowed time-series telemetry as JSONL
+                       (window samples + recalibration markers)
+  --window N           telemetry window width in refs per core
+                       (default 100000)
+  --metrics[=FILE]     enable the process metrics registry and write a
+                       redhip-metrics/v1 snapshot plus the run manifest
+                       (with phase timings) as JSONL (default
+                       metrics.jsonl)
+  --quiet              suppress the stderr heartbeat
+  --help               print this text
+
+Trace toolchain (`redhip-sim trace --help` lists the flags):
+
+  redhip-sim trace record   record a benchmark's streams to a v2 file
+  redhip-sim trace convert  v2 rechunk or lackey text -> v2
+  redhip-sim trace info     print a trace file's layout and stats
+  redhip-sim trace replay   stream a trace file through the simulator
+";
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -156,7 +161,7 @@ fn main() {
             }
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
-                eprintln!("see the module docs at the top of redhip-sim.rs");
+                print!("{USAGE}");
                 std::process::exit(0);
             }
             other => usage(&format!("unknown argument {other}")),

@@ -1,54 +1,65 @@
 //! The `redhip-sim trace` subcommands: record, convert, info, replay.
 //!
-//! ```text
-//! redhip-sim trace record --benchmark NAME --out FILE [options]
-//!     Runs the benchmark's per-core generators and records their streams
-//!     round-robin-interleaved by index into one v2 trace file. Replaying
-//!     with `--mode interleave` on the same core count reconstructs each
-//!     core's exact stream, so `trace replay` reproduces the in-process
-//!     simulation byte for byte.
-//!       --scale S     smoke|demo|paper workload scale  (default demo)
-//!       --refs N      records per core                 (default per scale)
-//!       --cores N     streams to interleave            (default 8)
-//!       --chunk N     records per chunk                (default 65536)
-//!
-//! redhip-sim trace convert --in FILE --out FILE [--chunk N]
-//!     Converts v1 binary, v2 binary (rechunk), or Valgrind/lackey-style
-//!     text (sniffed by magic) into a v2 file.
-//!
-//! redhip-sim trace info --in FILE [--json]
-//!     Prints the file layout: records, chunks, bytes/record, compression
-//!     vs the fixed-width v1 encoding.
-//!
-//! redhip-sim trace replay --in FILE [options]
-//!     Feeds the file to the simulator chunk-at-a-time (bounded memory,
-//!     zero per-record allocation) and reports results + throughput.
-//!       --mode M        dup|interleave|range            (default dup)
-//!       --mechanism M   registry spec string — see `redhip-sim --help`
-//!                       (default redhip)
-//!       --scale S       smoke|demo|paper platform       (default demo)
-//!       --refs N        references per core             (default: shard len)
-//!       --cpi X         CPI charged for gap instructions (default 1.5)
-//!       --buffered      positioned reads instead of mmap
-//!       --json FILE     write the RunResult as JSON
-//!       --quiet         suppress the stderr heartbeat
-//! ```
+//! They all read and write the one v2 trace format
+//! ([`mem_trace::codec`]); [`USAGE`] documents their flags, and
+//! `redhip-sim trace --help` prints it. A trace file that fails to open
+//! or decode is a usage error: exit 2 with a message naming the path.
 
 use crate::harness::{mechanism_config, FigureScale};
 use mem_trace::codec::{ChunkWriter, WriteSummary, DEFAULT_CHUNK_TARGET};
 use mem_trace::import::import_lackey;
 use mem_trace::stream::{write_v2_file, StreamTrace};
-use mem_trace::TraceIoError;
 use minijson::{json, ToJson};
 use sim::{CoreFeed, Mechanism};
 use std::io::BufReader;
 use std::time::Instant;
 use workloads::{Benchmark, FileMode, TraceFileWorkload};
 
+/// The trace subcommands' usage text, printed by `redhip-sim trace --help`.
+pub const USAGE: &str = "\
+redhip-sim trace record --benchmark NAME --out FILE [options]
+    Runs the benchmark's per-core generators and records their streams
+    round-robin-interleaved by index into one v2 trace file. Replaying
+    with `--mode interleave` on the same core count reconstructs each
+    core's exact stream, so `trace replay` reproduces the in-process
+    simulation byte for byte.
+      --scale S     smoke|demo|paper workload scale  (default demo)
+      --refs N      records per core                 (default per scale)
+      --cores N     streams to interleave            (default 8)
+      --chunk N     records per chunk                (default 65536)
+
+redhip-sim trace convert --in FILE --out FILE [--chunk N]
+    Rechunks a v2 trace file, or imports Valgrind/lackey-style text
+    (anything not starting with the trace magic), into a v2 file.
+
+redhip-sim trace info --in FILE [--json]
+    Prints the file layout: records, chunks, bytes/record, and the
+    compression against 21-byte fixed-width records.
+
+redhip-sim trace replay --in FILE [options]
+    Feeds the file to the simulator chunk-at-a-time (bounded memory,
+    zero per-record allocation) and reports results + throughput.
+      --mode M        dup|interleave|range            (default dup)
+      --mechanism M   registry spec string — see `redhip-sim --help`
+                      (default redhip)
+      --scale S       smoke|demo|paper platform       (default demo)
+      --refs N        references per core             (default: shard len)
+      --cpi X         CPI charged for gap instructions (default 1.5)
+      --buffered      positioned reads instead of mmap
+      --json FILE     write the RunResult as JSON
+      --quiet         suppress the stderr heartbeat
+";
+
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("run `redhip-sim --help` (trace subcommands are documented in tracecli.rs)");
+    eprintln!("run `redhip-sim trace --help` for usage");
     std::process::exit(2);
+}
+
+/// Prints [`USAGE`] and exits 0.
+fn help() -> ! {
+    print!("{USAGE}");
+    std::process::exit(0);
 }
 
 /// Reports a failure to write `path` and exits 1.
@@ -65,6 +76,7 @@ pub fn main(args: Vec<String>) {
         Some("convert") => convert(it.collect()),
         Some("info") => info(it.collect()),
         Some("replay") => replay(it.collect()),
+        Some("--help" | "-h" | "help") => help(),
         other => usage(&format!(
             "unknown trace subcommand {other:?} (expected record|convert|info|replay)"
         )),
@@ -83,8 +95,14 @@ impl Flags {
         }
     }
 
+    /// The next flag; `--help` anywhere a flag may stand prints the
+    /// usage and exits 0.
     fn next(&mut self) -> Option<String> {
-        self.args.next()
+        let flag = self.args.next();
+        if matches!(flag.as_deref(), Some("--help" | "-h")) {
+            help();
+        }
+        flag
     }
 
     fn value(&mut self, name: &str) -> String {
@@ -193,6 +211,13 @@ fn convert(args: Vec<String>) {
     }
     let input = input.unwrap_or_else(|| usage("--in is required"));
     let out = out.unwrap_or_else(|| usage("--out is required"));
+    // Creating `out` truncates it, and the input is read while the output
+    // is written: converting a file onto itself would destroy it mid-read.
+    if let (Ok(a), Ok(b)) = (std::fs::canonicalize(&input), std::fs::canonicalize(&out)) {
+        if a == b {
+            usage(&format!("--out {out} names the --in file"));
+        }
+    }
 
     // Sniff: binary traces open with the RDHP magic; anything else is
     // treated as lackey-style text.
@@ -205,18 +230,8 @@ fn convert(args: Vec<String>) {
         head[n..].fill(0);
     }
     let summary = if u32::from_le_bytes(head) == mem_trace::codec::MAGIC {
-        // v2 streams chunk-at-a-time; v1 is decoded whole (its format
-        // forces that anyway) then re-encoded.
-        match StreamTrace::open(&input) {
-            Ok(stream) => write_v2_file(&out, stream, chunk),
-            Err(TraceIoError::Decode(mem_trace::codec::DecodeError::BadVersion(1))) => {
-                let t = mem_trace::stream::read_any(&input)
-                    .unwrap_or_else(|e| usage(&format!("{input}: {e}")));
-                write_v2_file(&out, t.iter(), chunk)
-            }
-            Err(e) => usage(&format!("{input}: {e}")),
-        }
-        .unwrap_or_else(|e| write_failed(&out, e))
+        let stream = StreamTrace::open(&input).unwrap_or_else(|e| usage(&format!("{input}: {e}")));
+        write_v2_file(&out, stream, chunk).unwrap_or_else(|e| write_failed(&out, e))
     } else {
         let file = std::fs::File::open(&input)
             .unwrap_or_else(|e| usage(&format!("cannot open {input}: {e}")));
@@ -241,65 +256,39 @@ fn info(args: Vec<String>) {
         }
     }
     let input = input.unwrap_or_else(|| usage("--in is required"));
-    let doc = match StreamTrace::open(&input) {
-        Ok(s) => {
-            let i = s.info();
-            json!({
-                "path": input.as_str(),
-                "version": 2u64,
-                "backend": s.backend(),
-                "records": i.total_records,
-                "chunks": i.chunks,
-                "chunk_target": i.chunk_target as u64,
-                "file_bytes": i.file_bytes,
-                "payload_bytes": i.payload_bytes,
-                "payload_bytes_per_record": i.bytes_per_record(),
-                "v1_equivalent_bytes": i.raw_bytes(),
-            })
-        }
-        Err(TraceIoError::Decode(mem_trace::codec::DecodeError::BadVersion(1))) => {
-            let t = mem_trace::stream::read_any(&input)
-                .unwrap_or_else(|e| usage(&format!("{input}: {e}")));
-            let bytes = std::fs::metadata(&input).map(|m| m.len()).unwrap_or(0);
-            json!({
-                "path": input.as_str(),
-                "version": 1u64,
-                "records": t.len() as u64,
-                "file_bytes": bytes,
-            })
-        }
-        Err(e) => usage(&format!("{input}: {e}")),
-    };
+    let s = StreamTrace::open(&input).unwrap_or_else(|e| usage(&format!("{input}: {e}")));
+    let i = s.info();
     if as_json {
+        let doc = json!({
+            "path": input.as_str(),
+            "version": 2u64,
+            "backend": s.backend(),
+            "records": i.total_records,
+            "chunks": i.chunks,
+            "chunk_target": i.chunk_target as u64,
+            "file_bytes": i.file_bytes,
+            "payload_bytes": i.payload_bytes,
+            "payload_bytes_per_record": i.bytes_per_record(),
+            "v1_equivalent_bytes": i.raw_bytes(),
+        });
         println!("{}", doc.pretty());
         return;
     }
-    let get = |k: &str| doc.member(k).ok().and_then(|v| v.as_u64()).unwrap_or(0);
     println!("path            : {input}");
-    println!("version         : v{}", get("version"));
-    println!("records         : {}", get("records"));
-    if get("version") == 2 {
+    println!("version         : v2");
+    println!("records         : {}", i.total_records);
+    println!("chunks          : {} (target {})", i.chunks, i.chunk_target);
+    println!("file bytes      : {}", i.file_bytes);
+    println!(
+        "payload/record  : {:.2} B (fixed width: {} B)",
+        i.bytes_per_record(),
+        mem_trace::codec::RECORD_BYTES
+    );
+    if i.raw_bytes() > 0 {
         println!(
-            "chunks          : {} (target {})",
-            get("chunks"),
-            get("chunk_target")
+            "compression     : {:.2}x vs fixed width",
+            i.raw_bytes() as f64 / i.file_bytes as f64
         );
-        println!("file bytes      : {}", get("file_bytes"));
-        let per = doc
-            .member("payload_bytes_per_record")
-            .ok()
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0);
-        println!("payload/record  : {per:.2} B (v1: 21 B)");
-        let v1 = get("v1_equivalent_bytes");
-        if v1 > 0 {
-            println!(
-                "compression     : {:.2}x vs v1",
-                v1 as f64 / get("file_bytes") as f64
-            );
-        }
-    } else {
-        println!("file bytes      : {}", get("file_bytes"));
     }
 }
 

@@ -1,6 +1,7 @@
-//! The `redhip-sim` binary's error exits: a path it cannot write exits 1
-//! and a malformed trace file exits 2, each with a message naming the
-//! path, never by a signal. An extreme but valid `--chunk` is no error.
+//! The `redhip-sim` binary's exits: a path it cannot write exits 1 and a
+//! malformed trace file exits 2, each with a message naming the path,
+//! never by a signal. An extreme but valid `--chunk` is no error, and
+//! `--help` prints the usage and exits 0.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -83,25 +84,134 @@ fn oversized_count_trace() -> Vec<u8> {
     buf
 }
 
-#[test]
-fn trace_claiming_more_records_than_its_bytes_exits_2_naming_the_path() {
-    let (dir, _) = dir_with_file("oversized-count");
-    let path = dir.join("oversized.trace");
-    std::fs::write(&path, oversized_count_trace()).expect("write trace");
+/// Runs `trace info`, `trace replay` and `trace convert` on the trace
+/// file `bytes` and requires each to exit 2 (never a signal) with an
+/// error naming the path and containing `needle`.
+fn assert_trace_commands_exit_2(tag: &str, bytes: &[u8], needle: &str) {
+    let (dir, _) = dir_with_file(tag);
+    let path = dir.join("input.trace");
+    std::fs::write(&path, bytes).expect("write trace");
     let path = path.to_str().unwrap();
     let out = dir.join("converted.trace");
     let out = out.to_str().unwrap();
     for args in [
         &["trace", "info", "--in", path][..],
-        &["trace", "replay", "--in", path],
+        &[
+            "trace", "replay", "--in", path, "--scale", "smoke", "--quiet",
+        ],
         &["trace", "convert", "--in", path, "--out", out],
     ] {
         let o = redhip_sim(args);
         let err = String::from_utf8_lossy(&o.stderr);
+        // `code()` is None when a signal (abort) ended the process.
         assert_eq!(o.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.contains(&format!("error: {path}: ")), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_claiming_more_records_than_its_bytes_exits_2_naming_the_path() {
+    assert_trace_commands_exit_2("oversized-count", &oversized_count_trace(), "chunk index");
+}
+
+#[test]
+fn damaged_payload_exits_2_naming_the_chunk_never_a_signal() {
+    let (dir, _) = dir_with_file("damaged-payload");
+    let rec = dir.join("rec.trace");
+    let rec = rec.to_str().unwrap();
+    let o = redhip_sim(&[
+        "trace",
+        "record",
+        "--benchmark",
+        "mcf",
+        "--scale",
+        "smoke",
+        "--refs",
+        "2000",
+        "--cores",
+        "1",
+        "--out",
+        rec,
+    ]);
+    assert_eq!(
+        o.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&o.stderr)
+    );
+    // Bytes 24..64 lie inside chunk 0's payload; the header, index and
+    // tail stay intact, so only a payload check notices.
+    let mut bytes = std::fs::read(rec).expect("read recording");
+    bytes[24..64].fill(0xff);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_trace_commands_exit_2("damaged-payload-run", &bytes, "chunk 0");
+}
+
+#[test]
+fn converting_a_trace_onto_itself_exits_2_and_keeps_the_file() {
+    let (dir, _) = dir_with_file("convert-in-place");
+    let rec = dir.join("rec.trace");
+    let rec = rec.to_str().unwrap();
+    let o = redhip_sim(&[
+        "trace",
+        "record",
+        "--benchmark",
+        "mcf",
+        "--scale",
+        "smoke",
+        "--refs",
+        "500",
+        "--cores",
+        "2",
+        "--out",
+        rec,
+    ]);
+    assert_eq!(
+        o.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&o.stderr)
+    );
+    let before = std::fs::read(rec).expect("read recording");
+    let o = redhip_sim(&["trace", "convert", "--in", rec, "--out", rec]);
+    let err = String::from_utf8_lossy(&o.stderr);
+    // `code()` is None when a signal (here SIGBUS) ended the process.
+    assert_eq!(o.status.code(), Some(2), "{err}");
+    assert!(err.contains("names the --in file"), "{err}");
+    assert_eq!(std::fs::read(rec).expect("reread recording"), before);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retired_fixed_width_file_exits_2_with_its_version() {
+    // A version-1 file: the 16-byte header and one 21-byte record.
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&mem_trace::codec::MAGIC.to_le_bytes());
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&[0u8; 21]);
+    assert_eq!(bytes.len(), 37);
+    assert_trace_commands_exit_2("fixed-width", &bytes, "unsupported trace version 1");
+}
+
+#[test]
+fn help_prints_the_usage_and_exits_0() {
+    for (args, expect) in [
+        (&["--help"][..], "--benchmark NAME"),
+        (&["-h"], "redhip-sim trace replay"),
+        (&["trace", "--help"], "redhip-sim trace replay --in FILE"),
+        (&["trace", "record", "--help"], "--cores N"),
+    ] {
+        let o = redhip_sim(args);
+        let out = String::from_utf8_lossy(&o.stdout);
+        assert_eq!(o.status.code(), Some(0), "{args:?}: {out}");
+        assert!(out.contains(expect), "{args:?}: {out}");
+        if args[0] == "trace" {
+            assert!(!out.contains("v1"), "{args:?} mentions v1: {out}");
+        }
+    }
 }
 
 #[test]

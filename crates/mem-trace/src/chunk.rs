@@ -13,9 +13,10 @@
 //! record_count: u32 LE | raw_bytes: u32 LE | payload...
 //! ```
 //!
-//! `raw_bytes` is the fixed-width (v1) size of the same records —
-//! `record_count × 21` — stored so readers can size scratch buffers and
-//! report compression ratios without decoding.
+//! `raw_bytes` is the fixed-width size of the same records —
+//! `record_count × 21` ([`crate::codec::RECORD_BYTES`]) — stored so
+//! readers can size scratch buffers and report compression ratios
+//! without decoding.
 
 use crate::record::{MemOp, TraceRecord};
 use crate::varint;
@@ -123,20 +124,18 @@ pub fn decode_payload(
     Ok(())
 }
 
-/// Decodes a whole encoded chunk (header + payload) into `out`, returning
-/// the record count. Convenience for tests and the whole-buffer decoder;
-/// the streaming reader uses [`split_chunk`] + [`decode_payload`] so it
-/// can cross-check the chunk header against the file's index first.
-pub fn decode_chunk(bytes: &[u8], out: &mut Vec<TraceRecord>) -> Result<u32, ChunkDecodeError> {
-    let (count, _raw, payload) = split_chunk(bytes)?;
-    decode_payload(payload, count, out)?;
-    Ok(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng64;
+
+    /// Decodes a whole encoded chunk (header + payload) into `out`,
+    /// returning the record count.
+    fn decode_chunk(bytes: &[u8], out: &mut Vec<TraceRecord>) -> Result<u32, ChunkDecodeError> {
+        let (count, _raw, payload) = split_chunk(bytes)?;
+        decode_payload(payload, count, out)?;
+        Ok(count)
+    }
 
     fn random_records(rng: &mut Rng64, n: usize) -> Vec<TraceRecord> {
         (0..n)
@@ -236,8 +235,8 @@ mod tests {
 
     #[test]
     fn compresses_local_streams() {
-        // A strided stream with small pc loops must beat fixed-width v1
-        // by a wide margin: ~3 bytes/record vs 21.
+        // A strided stream with small pc loops must beat fixed-width
+        // records by a wide margin: ~3 bytes/record vs 21.
         let records: Vec<TraceRecord> = (0..10_000)
             .map(|i| TraceRecord::new(0x400 + (i % 8) * 4, 0x1000_0000 + i * 64, MemOp::Load, 3))
             .collect();

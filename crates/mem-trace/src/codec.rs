@@ -1,22 +1,16 @@
-//! Binary on-disk trace formats.
+//! The binary on-disk trace format (version 2).
 //!
-//! **v1** is a monolithic fixed-width layout: a 16-byte header (`magic`,
-//! `version`, record count) followed by 21-byte little-endian records
-//! (`pc: u64`, `addr: u64`, `gap: u32`, `op: u8`). Fixed width keeps decode
-//! branch-free, but a 500M-record paper-scale trace is ~10 GB and must be
-//! decoded in full before the first reference can run.
-//!
-//! **v2** is the streaming format: fixed-target *chunks* of delta-encoded
-//! LEB128 varint records (see [`crate::chunk`]) framed by a 16-byte header
-//! and a seekable chunk-index footer, so a reader can decode one chunk at
-//! a time into a reusable scratch buffer ([`crate::stream::StreamTrace`])
-//! or seek straight to a record range ([`crate::shard`]). Writers stream:
-//! [`ChunkWriter`] never buffers more than one chunk, and the index +
-//! tail land at the *end* of the file, so no seek-back patching is needed
-//! and the sink can be a pipe.
+//! A trace file is a run of fixed-target *chunks* of delta-encoded LEB128
+//! varint records (see [`crate::chunk`]) framed by a 16-byte header and a
+//! seekable chunk-index footer, so a reader can decode one chunk at a
+//! time into a reusable scratch buffer ([`crate::stream::StreamTrace`],
+//! the one reader) or seek straight to a record range ([`crate::shard`]).
+//! Writers stream: [`ChunkWriter`] never buffers more than one chunk, and
+//! the index + tail land at the *end* of the file, so no seek-back
+//! patching is needed and the sink can be a pipe.
 //!
 //! ```text
-//! v2 file := header | chunk* | index | tail
+//! file    := header | chunk* | index | tail
 //! header  := magic: u32 | version: u32 = 2 | chunk_target: u32 | reserved: u32
 //! chunk   := record_count: u32 | raw_bytes: u32 | delta-varint payload
 //! index   := { offset: u64 | bytes: u32 | count: u32 }  × chunk_count
@@ -24,24 +18,22 @@
 //!            | tail_magic: u32
 //! ```
 //!
-//! [`decode`] reads both versions; v1 stays fully readable.
+//! Any other version field — including 1, the retired fixed-width
+//! format — is rejected with [`DecodeError::BadVersion`].
 
 use crate::chunk::{self, ChunkDecodeError};
-use crate::record::{MemOp, TraceRecord};
-use crate::VecTrace;
+use crate::record::TraceRecord;
 use std::io::{self, Write};
 
 /// File magic: "RDHP".
 pub const MAGIC: u32 = 0x5244_4850;
-/// The fixed-width monolithic format.
-pub const VERSION_V1: u32 = 1;
-/// The chunked, delta-compressed, seekable format.
+/// The chunked, delta-compressed, seekable format: the only version.
 pub const VERSION_V2: u32 = 2;
-/// Encoded size of one fixed-width (v1) record in bytes; also the
-/// "uncompressed size" unit v2 chunks report.
+/// Bytes of one record at fixed width (`pc: u64`, `addr: u64`,
+/// `gap: u32`, `op: u8`): the "uncompressed size" unit chunk headers
+/// report in `raw_bytes`.
 pub const RECORD_BYTES: usize = 8 + 8 + 4 + 1;
-/// Encoded size of the header in bytes (identical framing in v1 and v2:
-/// the version field lives at bytes 4..8 in both).
+/// Bytes of the file header; the version field lives at bytes 4..8.
 pub const HEADER_BYTES: usize = 4 + 4 + 8;
 /// Bytes of one v2 chunk-index entry.
 pub const INDEX_ENTRY_BYTES: usize = 8 + 4 + 4;
@@ -53,7 +45,7 @@ pub const TAIL_MAGIC: u32 = 0x5249_4458;
 /// the bound on a streaming reader's resident memory per cursor.
 pub const DEFAULT_CHUNK_TARGET: u32 = 1 << 16;
 
-/// Errors produced while decoding a trace buffer (either version).
+/// Errors produced while reading a trace file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// Buffer shorter than a full header.
@@ -62,20 +54,6 @@ pub enum DecodeError {
     BadMagic(u32),
     /// Unsupported format version.
     BadVersion(u32),
-    /// v1: buffer ended before the promised record count.
-    TruncatedBody {
-        /// Records promised by the header.
-        expected: u64,
-        /// Records actually decodable.
-        available: u64,
-    },
-    /// v1: invalid operation byte at the given record index.
-    BadOp {
-        /// Index of the offending record.
-        index: u64,
-        /// The invalid byte.
-        byte: u8,
-    },
     /// v2: buffer ends before a full tail.
     TruncatedTail,
     /// v2: tail magic mismatch (file truncated or not a v2 trace).
@@ -109,18 +87,6 @@ impl std::fmt::Display for DecodeError {
             DecodeError::TruncatedHeader => write!(f, "trace buffer shorter than header"),
             DecodeError::BadMagic(m) => write!(f, "bad magic 0x{m:08x}"),
             DecodeError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
-            DecodeError::TruncatedBody {
-                expected,
-                available,
-            } => {
-                write!(
-                    f,
-                    "trace truncated: header promises {expected} records, buffer holds {available}"
-                )
-            }
-            DecodeError::BadOp { index, byte } => {
-                write!(f, "invalid op byte 0x{byte:02x} in record {index}")
-            }
             DecodeError::TruncatedTail => write!(f, "v2 trace shorter than its fixed tail"),
             DecodeError::BadTailMagic(m) => {
                 write!(f, "bad v2 tail magic 0x{m:08x} (file truncated?)")
@@ -196,23 +162,8 @@ impl From<DecodeError> for TraceIoError {
     }
 }
 
-/// Encodes a trace into a freshly allocated v1 (fixed-width) buffer.
-pub fn encode(trace: &VecTrace) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_BYTES + trace.len() * RECORD_BYTES);
-    buf.extend_from_slice(&MAGIC.to_le_bytes());
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
-    for r in trace.records() {
-        buf.extend_from_slice(&r.pc.to_le_bytes());
-        buf.extend_from_slice(&r.addr.to_le_bytes());
-        buf.extend_from_slice(&r.gap.to_le_bytes());
-        buf.push(r.op.to_byte());
-    }
-    buf
-}
-
-/// Little-endian field reads over a cursor; bounds are pre-checked by the
-/// header validation, so these only ever see complete records.
+/// Little-endian field reads over a cursor; callers check the buffer
+/// length first, so these only ever see complete fields.
 #[inline]
 fn read_u32(buf: &[u8], pos: &mut usize) -> u32 {
     let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("4 bytes"));
@@ -225,46 +176,6 @@ fn read_u64(buf: &[u8], pos: &mut usize) -> u64 {
     let v = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
     *pos += 8;
     v
-}
-
-/// Decodes a buffer in either format (dispatches on the version field).
-pub fn decode(buf: &[u8]) -> Result<VecTrace, DecodeError> {
-    if buf.len() < HEADER_BYTES {
-        return Err(DecodeError::TruncatedHeader);
-    }
-    let mut pos = 0;
-    let magic = read_u32(buf, &mut pos);
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    let version = read_u32(buf, &mut pos);
-    match version {
-        VERSION_V1 => decode_v1_body(buf, pos),
-        VERSION_V2 => decode_v2(buf),
-        other => Err(DecodeError::BadVersion(other)),
-    }
-}
-
-fn decode_v1_body(buf: &[u8], mut pos: usize) -> Result<VecTrace, DecodeError> {
-    let count = read_u64(buf, &mut pos);
-    let available = ((buf.len() - HEADER_BYTES) / RECORD_BYTES) as u64;
-    if available < count {
-        return Err(DecodeError::TruncatedBody {
-            expected: count,
-            available,
-        });
-    }
-    let mut records = Vec::with_capacity(count as usize);
-    for index in 0..count {
-        let pc = read_u64(buf, &mut pos);
-        let addr = read_u64(buf, &mut pos);
-        let gap = read_u32(buf, &mut pos);
-        let byte = buf[pos];
-        pos += 1;
-        let op = MemOp::from_byte(byte).ok_or(DecodeError::BadOp { index, byte })?;
-        records.push(TraceRecord { pc, addr, gap, op });
-    }
-    Ok(VecTrace::from_records(records))
 }
 
 /// One v2 chunk as described by the index footer.
@@ -437,37 +348,10 @@ pub fn parse_v2_index(tail: &V2Tail, index: &[u8]) -> Result<V2Layout, DecodeErr
     })
 }
 
-/// Parses a whole in-memory v2 file into its layout (header + tail +
-/// index validated; chunk payloads untouched).
-pub fn parse_v2_layout(buf: &[u8]) -> Result<V2Layout, DecodeError> {
-    let chunk_target = parse_v2_header(buf)?;
-    if buf.len() < HEADER_BYTES + TAIL_BYTES {
-        return Err(DecodeError::TruncatedTail);
-    }
-    let tail = parse_v2_tail(buf.len() as u64, &buf[buf.len() - TAIL_BYTES..])?;
-    let mut layout = parse_v2_index(
-        &tail,
-        &buf[tail.index_offset as usize..buf.len() - TAIL_BYTES],
-    )?;
-    layout.chunk_target = chunk_target;
-    Ok(layout)
-}
-
-/// Decodes one chunk of an in-memory v2 file into `out` (appended),
-/// cross-checking the chunk header against the index entry.
-pub fn decode_v2_chunk(
-    buf: &[u8],
-    chunk_idx: u64,
-    meta: &ChunkMeta,
-    out: &mut Vec<TraceRecord>,
-) -> Result<(), DecodeError> {
-    let start = meta.offset as usize;
-    let end = start + meta.bytes as usize;
-    decode_chunk_bytes(&buf[start..end], chunk_idx, meta, out)
-}
-
 /// Decodes the bytes of one chunk (wherever they came from — a mapping, a
-/// positioned read, or an in-memory buffer) into `out`, appended.
+/// positioned read, or an in-memory buffer) into `out`, appended,
+/// cross-checking the chunk header against its index entry. This is the
+/// one decode path; [`crate::stream::StreamTrace`] calls it.
 pub fn decode_chunk_bytes(
     bytes: &[u8],
     chunk_idx: u64,
@@ -490,16 +374,6 @@ pub fn decode_chunk_bytes(
         chunk: chunk_idx,
         kind,
     })
-}
-
-fn decode_v2(buf: &[u8]) -> Result<VecTrace, DecodeError> {
-    let layout = parse_v2_layout(buf)?;
-    // Pre-reserve the exact total instead of growing chunk by chunk.
-    let mut records = Vec::with_capacity(layout.total_records as usize);
-    for (i, meta) in layout.chunks.iter().enumerate() {
-        decode_v2_chunk(buf, i as u64, meta, &mut records)?;
-    }
-    Ok(VecTrace::from_records(records))
 }
 
 /// Streaming v2 encoder: push records, get chunked output on any
@@ -618,19 +492,20 @@ impl<W: Write> ChunkWriter<W> {
     }
 }
 
-/// Encodes a trace into a freshly allocated v2 buffer.
-pub fn encode_v2(trace: &VecTrace) -> Vec<u8> {
+/// Encodes records into a freshly allocated v2 buffer.
+pub fn encode_v2(trace: &[TraceRecord]) -> Vec<u8> {
     encode_v2_chunked(trace, DEFAULT_CHUNK_TARGET)
 }
 
 /// [`encode_v2`] with an explicit chunk target (tests use tiny chunks to
 /// exercise many-chunk layouts cheaply).
-pub fn encode_v2_chunked(trace: &VecTrace, chunk_target: u32) -> Vec<u8> {
+pub fn encode_v2_chunked(trace: &[TraceRecord], chunk_target: u32) -> Vec<u8> {
     // Pre-reserve from the size hint: ~8 payload bytes/record in practice
     // plus framing; Vec growth from there is a single doubling at worst.
     let sink = Vec::with_capacity(HEADER_BYTES + TAIL_BYTES + trace.len() * 8);
     let mut w = ChunkWriter::with_chunk_target(sink, chunk_target).expect("Vec sink cannot fail");
-    w.push_all(trace.iter()).expect("Vec sink cannot fail");
+    w.push_all(trace.iter().copied())
+        .expect("Vec sink cannot fail");
     let (buf, _) = w.finish().expect("Vec sink cannot fail");
     buf
 }
@@ -638,152 +513,117 @@ pub fn encode_v2_chunked(trace: &VecTrace, chunk_target: u32) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::MemOp;
+    use crate::stream::StreamTrace;
 
-    fn sample_trace() -> VecTrace {
-        VecTrace::from_records(vec![
+    fn sample_trace() -> Vec<TraceRecord> {
+        vec![
             TraceRecord::new(0x400123, 0x7fff_0000, MemOp::Load, 3),
             TraceRecord::new(0x400321, 0x7fff_0040, MemOp::Store, 0),
             TraceRecord::new(0x400999, u64::MAX, MemOp::Load, u32::MAX),
-        ])
+        ]
     }
 
-    fn random_trace(rng: &mut crate::rng::Rng64, len: usize) -> VecTrace {
-        VecTrace::from_records(
-            (0..len)
-                .map(|_| {
-                    TraceRecord::new(
-                        rng.next_u64() >> (rng.next_u64() % 64),
-                        rng.next_u64() >> (rng.next_u64() % 64),
-                        if rng.gen_bool(0.5) {
-                            MemOp::Store
-                        } else {
-                            MemOp::Load
-                        },
-                        rng.next_u64() as u32,
-                    )
-                })
-                .collect(),
-        )
+    fn random_trace(rng: &mut crate::rng::Rng64, len: usize) -> Vec<TraceRecord> {
+        (0..len)
+            .map(|_| {
+                TraceRecord::new(
+                    rng.next_u64() >> (rng.next_u64() % 64),
+                    rng.next_u64() >> (rng.next_u64() % 64),
+                    if rng.gen_bool(0.5) {
+                        MemOp::Store
+                    } else {
+                        MemOp::Load
+                    },
+                    rng.next_u64() as u32,
+                )
+            })
+            .collect()
+    }
+
+    /// Reads a whole buffer through the one reader.
+    fn read(buf: &[u8]) -> Result<Vec<TraceRecord>, DecodeError> {
+        match StreamTrace::from_bytes(buf.to_vec()) {
+            Ok(s) => Ok(s.collect()),
+            Err(TraceIoError::Decode(e)) => Err(e),
+            Err(TraceIoError::Io(e)) => panic!("in-memory read failed: {e}"),
+        }
     }
 
     #[test]
-    fn v1_roundtrip_preserves_records() {
-        let t = sample_trace();
-        let encoded = encode(&t);
-        assert_eq!(encoded.len(), HEADER_BYTES + 3 * RECORD_BYTES);
-        let back = decode(&encoded).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn empty_trace_roundtrips_in_both_versions() {
-        let t = VecTrace::new();
-        assert!(decode(&encode(&t)).unwrap().is_empty());
-        let v2 = encode_v2(&t);
+    fn empty_trace_roundtrips() {
+        let v2 = encode_v2(&[]);
         assert_eq!(v2.len(), HEADER_BYTES + TAIL_BYTES);
-        assert!(decode(&v2).unwrap().is_empty());
+        assert!(read(&v2).unwrap().is_empty());
     }
 
     #[test]
     fn rejects_short_header() {
-        assert_eq!(decode(&[0u8; 3]), Err(DecodeError::TruncatedHeader));
+        assert_eq!(read(&[0u8; 3]), Err(DecodeError::TruncatedHeader));
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let mut b = encode(&sample_trace()).to_vec();
+        let mut b = encode_v2(&sample_trace());
         b[0] ^= 0xff;
-        assert!(matches!(decode(&b), Err(DecodeError::BadMagic(_))));
+        assert!(matches!(read(&b), Err(DecodeError::BadMagic(_))));
     }
 
     #[test]
     fn rejects_bad_version() {
-        let mut b = encode(&sample_trace()).to_vec();
-        b[4] = 0x7f;
-        assert!(matches!(decode(&b), Err(DecodeError::BadVersion(0x7f))));
-    }
-
-    #[test]
-    fn rejects_truncated_v1_body() {
-        let b = encode(&sample_trace());
-        let cut = &b[..b.len() - 1];
-        assert!(matches!(
-            decode(cut),
-            Err(DecodeError::TruncatedBody {
-                expected: 3,
-                available: 2
-            })
-        ));
-    }
-
-    #[test]
-    fn rejects_bad_op_byte() {
-        let mut b = encode(&sample_trace()).to_vec();
-        let op_pos = HEADER_BYTES + RECORD_BYTES - 1;
-        b[op_pos] = 9;
-        assert_eq!(decode(&b), Err(DecodeError::BadOp { index: 0, byte: 9 }));
+        // 1 is the retired fixed-width format.
+        for version in [1u8, 0x7f] {
+            let mut b = encode_v2(&sample_trace());
+            b[4] = version;
+            assert_eq!(read(&b), Err(DecodeError::BadVersion(version.into())));
+        }
     }
 
     #[test]
     fn decode_error_display_is_informative() {
-        let msg = DecodeError::TruncatedBody {
-            expected: 5,
-            available: 1,
+        let msg = DecodeError::ChunkCountMismatch {
+            chunk: 5,
+            header: 7,
+            index: 1,
         }
         .to_string();
-        assert!(msg.contains('5') && msg.contains('1'));
+        assert!(msg.contains("chunk 5") && msg.contains('7') && msg.contains('1'));
     }
 
     #[test]
     fn v2_roundtrip_randomized_gaps_and_addresses() {
-        // Property test over both versions: random gaps (full u32 range)
-        // and addresses with max-delta jumps must survive encode → decode
-        // bit-exactly, at several chunk sizes including mid-chunk ends.
+        // Property test: random gaps (full u32 range) and addresses with
+        // max-delta jumps must survive encode → decode bit-exactly, at
+        // several chunk sizes including mid-chunk ends.
         let mut rng = crate::rng::Rng64::seed_from_u64(0xC0DEC);
         for case in 0..128 {
             let len = rng.gen_index(500);
             let t = random_trace(&mut rng, len);
-            let v1 = decode(&encode(&t)).unwrap();
-            assert_eq!(v1, t, "v1 case {case}");
             for chunk_target in [1, 7, 64, DEFAULT_CHUNK_TARGET] {
-                let back = decode(&encode_v2_chunked(&t, chunk_target)).unwrap();
-                assert_eq!(back, t, "v2 case {case} chunk {chunk_target}");
+                let back = read(&encode_v2_chunked(&t, chunk_target)).unwrap();
+                assert_eq!(back, t, "case {case} chunk {chunk_target}");
             }
         }
     }
 
     #[test]
-    fn v2_is_denser_than_v1_on_local_streams() {
-        let t = VecTrace::from_records(
-            (0..50_000u64)
-                .map(|i| TraceRecord::new(0x400 + (i % 16) * 4, i * 64, MemOp::Load, 2))
-                .collect(),
-        );
-        let v1 = encode(&t).len();
+    fn v2_is_denser_than_fixed_width_records() {
+        let t: Vec<TraceRecord> = (0..50_000u64)
+            .map(|i| TraceRecord::new(0x400 + (i % 16) * 4, i * 64, MemOp::Load, 2))
+            .collect();
+        let fixed = t.len() * RECORD_BYTES;
         let v2 = encode_v2(&t).len();
         assert!(
-            (v2 as f64) < v1 as f64 * 0.35,
-            "v2 {v2} bytes vs v1 {v1} bytes"
+            (v2 as f64) < fixed as f64 * 0.35,
+            "v2 {v2} bytes vs fixed-width {fixed} bytes"
         );
-    }
-
-    #[test]
-    fn v2_layout_reports_chunks() {
-        let mut rng = crate::rng::Rng64::seed_from_u64(3);
-        let t = random_trace(&mut rng, 1000);
-        let buf = encode_v2_chunked(&t, 256);
-        let layout = parse_v2_layout(&buf).unwrap();
-        assert_eq!(layout.chunks.len(), 4);
-        assert_eq!(layout.total_records, 1000);
-        assert_eq!(layout.chunk_target, 256);
-        assert_eq!(layout.cumulative_starts(), vec![0, 256, 512, 768, 1000]);
     }
 
     #[test]
     fn v2_rejects_truncated_tail() {
         let buf = encode_v2(&sample_trace());
         for cut in [buf.len() - 1, buf.len() - TAIL_BYTES, HEADER_BYTES + 1] {
-            let r = decode(&buf[..cut]);
+            let r = read(&buf[..cut]);
             assert!(r.is_err(), "cut at {cut} decoded");
         }
     }
@@ -793,7 +633,7 @@ mod tests {
         let mut buf = encode_v2(&sample_trace());
         let n = buf.len();
         buf[n - 1] ^= 0xff;
-        assert!(matches!(decode(&buf), Err(DecodeError::BadTailMagic(_))));
+        assert!(matches!(read(&buf), Err(DecodeError::BadTailMagic(_))));
     }
 
     #[test]
@@ -801,23 +641,22 @@ mod tests {
         let t = sample_trace();
         let mut buf = encode_v2_chunked(&t, 2);
         // Flip a byte of the first index entry's offset field.
-        let layout = parse_v2_layout(&buf).unwrap();
-        buf[layout.index_offset as usize] ^= 0xff;
-        assert!(matches!(decode(&buf), Err(DecodeError::BadFooter { .. })));
+        let tail = buf.len() - TAIL_BYTES;
+        let index_offset = u64::from_le_bytes(buf[tail..tail + 8].try_into().unwrap());
+        buf[index_offset as usize] ^= 0xff;
+        assert!(matches!(read(&buf), Err(DecodeError::BadFooter { .. })));
     }
 
     #[test]
     fn v2_rejects_corrupt_chunk_payload() {
-        let t = VecTrace::from_records(
-            (0..100u64)
-                .map(|i| TraceRecord::new(i, u64::MAX - i * (1 << 40), MemOp::Load, 1))
-                .collect(),
-        );
+        let t: Vec<TraceRecord> = (0..100u64)
+            .map(|i| TraceRecord::new(i, u64::MAX - i * (1 << 40), MemOp::Load, 1))
+            .collect();
         let mut buf = encode_v2_chunked(&t, 50);
         // Truncating inside the last chunk breaks the tile invariant, so
         // corrupt a count instead: chunk header count != index count.
         buf[HEADER_BYTES] ^= 0x01;
-        let r = decode(&buf);
+        let r = read(&buf);
         assert!(
             matches!(
                 r,
@@ -847,7 +686,7 @@ mod tests {
         let mut rng = crate::rng::Rng64::seed_from_u64(9);
         let t = random_trace(&mut rng, 10_000);
         let mut w = ChunkWriter::with_chunk_target(Vec::new(), 128).unwrap();
-        for r in t.iter() {
+        for &r in &t {
             w.push(r).unwrap();
             // The writer never holds more than one chunk of records.
             assert!(w.pending.len() <= 128);
@@ -856,7 +695,7 @@ mod tests {
         assert_eq!(summary.records, 10_000);
         assert_eq!(summary.chunks, 10_000u64.div_ceil(128));
         assert_eq!(summary.file_bytes, buf.len() as u64);
-        assert_eq!(decode(&buf).unwrap(), t);
+        assert_eq!(read(&buf).unwrap(), t);
     }
 
     #[test]
@@ -865,9 +704,9 @@ mod tests {
         let t = random_trace(&mut rng, 5);
         let mut w = ChunkWriter::with_chunk_target(Vec::new(), u32::MAX).unwrap();
         assert!(w.pending.capacity() <= DEFAULT_CHUNK_TARGET as usize);
-        w.push_all(t.iter()).unwrap();
+        w.push_all(t.iter().copied()).unwrap();
         let (buf, summary) = w.finish().unwrap();
         assert_eq!((summary.records, summary.chunks), (5, 1));
-        assert_eq!(decode(&buf).unwrap(), t);
+        assert_eq!(read(&buf).unwrap(), t);
     }
 }

@@ -141,10 +141,11 @@ impl<R: BufRead> Iterator for LackeyParser<R> {
             if t.is_empty() || t.starts_with('#') || t.starts_with("==") {
                 continue;
             }
-            let (tag, rest) = t.split_at(1);
-            let rest = rest.trim_start();
+            let mut chars = t.chars();
+            let tag = chars.next();
+            let rest = chars.as_str().trim_start();
             let op = match tag {
-                "I" => {
+                Some('I') => {
                     match parse_addr(rest) {
                         Some(pc) => {
                             self.last_pc = pc;
@@ -154,9 +155,9 @@ impl<R: BufRead> Iterator for LackeyParser<R> {
                     }
                     continue;
                 }
-                "L" => MemOp::Load,
-                "S" => MemOp::Store,
-                "M" => MemOp::Load, // store half queued below
+                Some('L') => MemOp::Load,
+                Some('S') => MemOp::Store,
+                Some('M') => MemOp::Load, // store half queued below
                 _ => return Some(Err(self.parse_err("unrecognized event tag"))),
             };
             let Some(addr) = parse_addr(rest) else {
@@ -167,7 +168,7 @@ impl<R: BufRead> Iterator for LackeyParser<R> {
             let gap = self.pending_gap.saturating_sub(1).min(u64::from(u32::MAX)) as u32;
             self.pending_gap = 0;
             let record = TraceRecord::new(self.last_pc, addr, op, gap);
-            if tag == "M" {
+            if tag == Some('M') {
                 self.queued = Some(TraceRecord::new(self.last_pc, addr, MemOp::Store, 0));
             }
             return Some(Ok(record));
@@ -277,9 +278,18 @@ I  0400d7ec,4
         let summary = import_lackey(SAMPLE.as_bytes(), &dir, 2).unwrap();
         assert_eq!(summary.records, 4);
         assert_eq!(summary.chunks, 2);
-        let back = crate::stream::read_any(&dir).unwrap();
-        assert_eq!(back.records(), parse_all(SAMPLE));
+        let back: Vec<_> = crate::stream::StreamTrace::open(&dir).unwrap().collect();
+        assert_eq!(back, parse_all(SAMPLE));
         let _ = std::fs::remove_file(&dir);
+    }
+
+    #[test]
+    fn non_ascii_event_tag_is_an_error() {
+        let err = LackeyParser::new("é 400,4\n".as_bytes())
+            .next()
+            .unwrap()
+            .unwrap_err();
+        assert!(err.to_string().contains("unrecognized event tag"), "{err}");
     }
 
     #[test]

@@ -6,19 +6,21 @@
 //! * [`TraceRecord`] — one memory reference (program counter, data address,
 //!   load/store, and the number of non-memory instructions since the previous
 //!   reference, which the simulator charges at the workload's average CPI).
-//! * [`TraceSource`] — a stream of records (any `Iterator<Item = TraceRecord>`).
-//!   Records carry virtual addresses; the simulator (`sim::run`) maps each
-//!   core's stream into its own physical address range.
+//!   A stream of records is any `Iterator<Item = TraceRecord>`; [`DynTrace`]
+//!   boxes one per simulated core. Records carry virtual addresses; the
+//!   simulator (`sim::run`) maps each core's stream into its own physical
+//!   address range.
 //! * [`synth`] — composable synthetic access-pattern building blocks
 //!   (sequential, strided, random-in-region, pointer chase, Zipf) from which
 //!   `workloads` assembles benchmark-like streams.
-//! * [`codec`] — the binary on-disk formats: monolithic fixed-width v1 and
-//!   chunked, delta-compressed, seekable v2 ([`codec::ChunkWriter`]).
-//! * [`stream`] — [`StreamTrace`]: replays a v2 file chunk-at-a-time from a
-//!   memory mapping or positioned reads, with bounded resident memory and
-//!   zero per-record allocation; [`shard`] splits one trace across cores.
+//! * [`codec`] — the one on-disk format (v2): chunked, delta-compressed and
+//!   seekable, written by [`codec::ChunkWriter`].
+//! * [`stream`] — [`StreamTrace`], the one reader: it checks a whole file
+//!   when it opens, then replays it chunk-at-a-time from a memory mapping or
+//!   positioned reads, with bounded resident memory and zero per-record
+//!   allocation; [`shard`] splits one trace across cores.
 //! * [`import`] — converts externally captured Valgrind/lackey-style text
-//!   traces into the binary formats.
+//!   traces into v2 files.
 //! * [`stats`] — streaming trace characterization (footprint, stride
 //!   predictability, operation mix, short-reuse proxy).
 //! * [`reuse`] — exact LRU reuse-distance analysis (Fenwick-tree
@@ -45,14 +47,9 @@ pub use shard::ShardSpec;
 pub use stats::TraceStats;
 pub use stream::StreamTrace;
 
-/// A stream of memory-reference records.
-///
-/// Implemented for every `Iterator<Item = TraceRecord>`, so all standard
-/// iterator adapters apply. The simulator pulls records lazily; generators in
-/// the `workloads` crate typically run their kernel incrementally.
-pub trait TraceSource: Iterator<Item = TraceRecord> {}
-
-impl<T: Iterator<Item = TraceRecord>> TraceSource for T {}
+/// A boxed per-core record stream: what the workload generators return
+/// and what `sim::run_traces` consumes, one per simulated core.
+pub type DynTrace = Box<dyn Iterator<Item = TraceRecord> + Send>;
 
 /// Bulk record delivery: the refill side of the simulator's chunked
 /// pull-ahead buffer.
@@ -76,7 +73,7 @@ impl<T: TraceFeed + ?Sized> TraceFeed for Box<T> {
     }
 }
 
-/// Adapts any [`TraceSource`] iterator into a [`TraceFeed`] by pulling
+/// Adapts any record iterator into a [`TraceFeed`] by pulling
 /// records one at a time — the compatibility path for the synthetic
 /// generators.
 #[derive(Debug, Clone)]
@@ -98,113 +95,146 @@ impl<I: Iterator<Item = TraceRecord>> TraceFeed for IterFeed<I> {
     }
 }
 
-/// An owned, in-memory trace. Useful for tests, for replaying a decoded trace
-/// file, and for duplicating one trace across several cores.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VecTrace {
-    records: Vec<TraceRecord>,
-}
-
-impl VecTrace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps an existing record vector.
-    pub fn from_records(records: Vec<TraceRecord>) -> Self {
-        Self { records }
-    }
-
-    /// Collects (up to `limit`) records from any source.
-    pub fn collect_from(source: impl TraceSource, limit: usize) -> Self {
-        // Most callers pass a bounded limit over an endless generator,
-        // whose size hint is (0, None) — collect() would then grow the
-        // vector through every doubling. Pre-reserve from the best
-        // available hint instead: the source's upper bound when it has
-        // one, else the limit itself (capped so an "everything" limit
-        // over an unknown-length source cannot demand an absurd upfront
-        // allocation).
-        let (lo, hi) = source.size_hint();
-        let cap = hi.unwrap_or(usize::MAX).min(limit).min((1 << 24).max(lo));
-        let mut records = Vec::with_capacity(cap);
-        records.extend(source.take(limit));
-        Self { records }
-    }
-
-    /// Number of records in the trace.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the trace holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Appends a record.
-    pub fn push(&mut self, record: TraceRecord) {
-        self.records.push(record);
-    }
-
-    /// Borrowed view of the records.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
-    }
-
-    /// Iterates the records by value (cloning the backing storage lazily).
-    pub fn iter(&self) -> impl Iterator<Item = TraceRecord> + '_ {
-        self.records.iter().copied()
-    }
-}
-
-impl IntoIterator for VecTrace {
-    type Item = TraceRecord;
-    type IntoIter = std::vec::IntoIter<TraceRecord>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.records.into_iter()
-    }
-}
-
-impl FromIterator<TraceRecord> for VecTrace {
-    fn from_iter<I: IntoIterator<Item = TraceRecord>>(iter: I) -> Self {
-        Self {
-            records: iter.into_iter().collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codec::{encode_v2_chunked, INDEX_ENTRY_BYTES, TAIL_BYTES};
+    use import::LackeyParser;
 
-    fn rec(addr: u64) -> TraceRecord {
-        TraceRecord::load(0x400000, addr)
+    const KINDS: [&str; 4] = ["truncate", "bit flip", "invert bytes", "enlarge count"];
+    const CASES_PER_KIND: usize = 150;
+    const LACKEY_CASES_PER_KIND: usize = 1000;
+
+    fn u32_at(buf: &[u8], at: usize) -> u32 {
+        u32::from_le_bytes(buf[at..at + 4].try_into().unwrap())
+    }
+
+    fn u64_at(buf: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
+    }
+
+    /// Byte positions of every count field in a v2 buffer, with widths:
+    /// each chunk header's and index entry's record count, and the tail's
+    /// chunk count and total.
+    fn count_fields(buf: &[u8]) -> Vec<(usize, usize)> {
+        let tail = buf.len() - TAIL_BYTES;
+        let index = u64_at(buf, tail) as usize;
+        let mut fields = vec![(tail + 8, 8), (tail + 16, 8)];
+        for entry in (index..tail).step_by(INDEX_ENTRY_BYTES) {
+            fields.push((u64_at(buf, entry) as usize, 4));
+            fields.push((entry + 12, 4));
+        }
+        fields
+    }
+
+    /// Applies mutation `kind` (an index into [`KINDS`]) to `buf`.
+    fn mutate(buf: &mut Vec<u8>, kind: usize, rng: &mut Rng64, counts: &[(usize, usize)]) {
+        match kind {
+            0 => buf.truncate(rng.gen_index(buf.len())),
+            1 => {
+                let bit = rng.gen_index(buf.len() * 8);
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
+            2 => {
+                let at = rng.gen_index(buf.len());
+                let end = (at + 1 + rng.gen_index(8)).min(buf.len());
+                buf[at..end].iter_mut().for_each(|b| *b = !*b);
+            }
+            _ => {
+                let (at, width) = counts[rng.gen_index(counts.len())];
+                let grow = [1, 1 + rng.gen_index(1 << 20) as u64, u64::MAX][rng.gen_index(3)];
+                if width == 4 {
+                    let v = u64::from(u32_at(buf, at)).saturating_add(grow);
+                    buf[at..at + 4]
+                        .copy_from_slice(&(v.min(u64::from(u32::MAX)) as u32).to_le_bytes());
+                } else {
+                    let v = u64_at(buf, at).saturating_add(grow);
+                    buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
     }
 
     #[test]
-    fn vec_trace_roundtrip() {
-        let mut t = VecTrace::new();
-        assert!(t.is_empty());
-        t.push(rec(0x1000));
-        t.push(rec(0x2000));
-        assert_eq!(t.len(), 2);
-        let collected: Vec<_> = t.clone().into_iter().collect();
-        assert_eq!(collected, t.records());
-    }
+    fn seeded_mutations_error_or_drain_never_panic() {
+        let mut rng = Rng64::seed_from_u64(0x3A7E);
+        let records: Vec<TraceRecord> = (0..3000u64)
+            .map(|i| {
+                let op = if i % 5 == 0 {
+                    MemOp::Store
+                } else {
+                    MemOp::Load
+                };
+                TraceRecord::new(
+                    0x400 + (i % 37) * 4,
+                    (i * 4099) % (1 << 24),
+                    op,
+                    (i % 7) as u32,
+                )
+            })
+            .collect();
+        let clean = encode_v2_chunked(&records, 256);
+        let counts = count_fields(&clean);
+        let mut errors = [0usize; 4];
+        for (kind, errs) in errors.iter_mut().enumerate() {
+            for case in 0..CASES_PER_KIND {
+                let mut buf = clean.clone();
+                mutate(&mut buf, kind, &mut rng, &counts);
+                match StreamTrace::from_bytes(buf) {
+                    Err(_) => *errs += 1,
+                    Ok(s) => {
+                        // An accepted file must drain in full, by records
+                        // and by bulk refills.
+                        let total = s.total_records();
+                        assert_eq!(
+                            s.clone().count() as u64,
+                            total,
+                            "{} case {case}",
+                            KINDS[kind]
+                        );
+                        let mut feed = s;
+                        let mut out = Vec::new();
+                        while feed.refill(&mut out, 128) > 0 {}
+                        assert_eq!(out.len() as u64, total, "{} case {case}", KINDS[kind]);
+                    }
+                }
+            }
+        }
+        for (kind, errs) in errors.iter().enumerate() {
+            assert!(*errs > 0, "no {} mutation produced an error", KINDS[kind]);
+        }
 
-    #[test]
-    fn collect_from_respects_limit() {
-        let src = (0..100u64).map(|i| rec(i * 64));
-        let t = VecTrace::collect_from(src, 10);
-        assert_eq!(t.len(), 10);
-        assert_eq!(t.records()[9].addr, 9 * 64);
-    }
-
-    #[test]
-    fn from_iterator_builds_trace() {
-        let t: VecTrace = (0..4u64).map(rec).collect();
-        assert_eq!(t.len(), 4);
+        // The lackey importer: mutated text parses to records or errors.
+        // Short inversions can turn a line's first bytes into one
+        // multi-byte UTF-8 character where the event tag stands; text
+        // parses fast, so more cases make that likely to occur.
+        let text: Vec<u8> = (0..200u64)
+            .map(|i| {
+                format!(
+                    "I  {:08x},4\n {} {:08x},8\n",
+                    0x400000 + i * 4,
+                    ["L", "S", "M"][i as usize % 3],
+                    0x7ff0_0000 + i * 64
+                )
+            })
+            .collect::<String>()
+            .into_bytes();
+        let mut lackey_errors = [0usize; 3];
+        for (kind, errs) in lackey_errors.iter_mut().enumerate() {
+            for _ in 0..LACKEY_CASES_PER_KIND {
+                let mut buf = text.clone();
+                mutate(&mut buf, kind, &mut rng, &[]);
+                if LackeyParser::new(&buf[..]).any(|r| r.is_err()) {
+                    *errs += 1;
+                }
+            }
+        }
+        for (kind, errs) in lackey_errors.iter().enumerate() {
+            assert!(
+                *errs > 0,
+                "no lackey {} mutation produced an error",
+                KINDS[kind]
+            );
+        }
     }
 }

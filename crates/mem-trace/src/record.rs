@@ -17,23 +17,6 @@ impl MemOp {
     pub fn is_store(self) -> bool {
         matches!(self, MemOp::Store)
     }
-
-    /// Compact one-byte encoding used by the binary codec.
-    pub(crate) fn to_byte(self) -> u8 {
-        match self {
-            MemOp::Load => 0,
-            MemOp::Store => 1,
-        }
-    }
-
-    /// Inverse of [`MemOp::to_byte`].
-    pub(crate) fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(MemOp::Load),
-            1 => Some(MemOp::Store),
-            _ => None,
-        }
-    }
 }
 
 /// One memory reference as collected by the (simulated) instrumentation.
@@ -139,14 +122,6 @@ impl FromJson for TraceRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn op_byte_roundtrip() {
-        for op in [MemOp::Load, MemOp::Store] {
-            assert_eq!(MemOp::from_byte(op.to_byte()), Some(op));
-        }
-        assert_eq!(MemOp::from_byte(7), None);
-    }
 
     #[test]
     fn block_address_strips_offset_bits() {

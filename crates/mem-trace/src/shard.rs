@@ -13,11 +13,7 @@
 //!   first chunk via the v2 index, so `n` parallel sweep cells touch
 //!   disjoint file regions.
 //!
-//! [`crate::StreamTrace::shard`] applies a spec to an open trace; the
-//! generic [`interleave`] adapter shards any in-memory [`TraceSource`].
-
-use crate::record::TraceRecord;
-use crate::TraceSource;
+//! [`crate::StreamTrace::shard`] applies a spec to an open trace.
 
 /// Which slice of a trace one consumer replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,22 +86,6 @@ impl ShardSpec {
             ShardSpec::Range { shards, index } => format!("range{index}/{shards}"),
         }
     }
-}
-
-/// Interleave-shards any in-memory source: yields the records whose
-/// index ≡ `index` (mod `shards`). Each shard must own (or clone) its
-/// source; for on-disk traces prefer [`crate::StreamTrace::shard`], which
-/// shares one mapping across all cursors.
-pub fn interleave<S: TraceSource>(
-    source: S,
-    shards: u32,
-    index: u32,
-) -> impl Iterator<Item = TraceRecord> {
-    assert!(shards > 0 && index < shards, "bad interleave shard");
-    source
-        .enumerate()
-        .filter(move |(i, _)| (*i as u64) % u64::from(shards) == u64::from(index))
-        .map(|(_, r)| r)
 }
 
 #[cfg(test)]
@@ -204,23 +184,6 @@ mod tests {
             .tag(),
             "range0/4"
         );
-    }
-
-    #[test]
-    fn generic_interleave_matches_modulo_filter() {
-        let records: Vec<TraceRecord> = (0..50u64)
-            .map(|i| TraceRecord::load(0x400, i * 64))
-            .collect();
-        let mut merged: Vec<Vec<TraceRecord>> = Vec::new();
-        for k in 0..4u32 {
-            merged.push(interleave(records.iter().copied(), 4, k).collect());
-        }
-        // Round-robin re-merge reproduces the original exactly.
-        let mut rebuilt = Vec::new();
-        for i in 0..records.len() {
-            rebuilt.push(merged[i % 4][i / 4]);
-        }
-        assert_eq!(rebuilt, records);
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Chunk-at-a-time replay of v2 trace files with bounded memory.
 //!
-//! [`StreamTrace`] opens a v2 file, validates its header/index/tail once,
-//! and then serves records one decoded chunk at a time. Steady-state
-//! replay performs **zero per-record heap allocation**: the only
-//! allocation is one buffer per chunk decode.
+//! [`StreamTrace`] is the one trace reader. Opening a file checks all of
+//! it once — header, tail and index, then every chunk payload through
+//! [`codec::decode_chunk_bytes`] into one reused scratch buffer — so a
+//! damaged file is refused with a [`codec::DecodeError`] naming the chunk
+//! before any record is served. After that the cursor serves records one
+//! decoded chunk at a time. Steady-state replay performs **zero
+//! per-record heap allocation**: the only allocation is one buffer per
+//! chunk decode.
 //!
 //! Decoded chunks belong to the *open file*, not to a cursor. Every
 //! cursor over one file (its clones and [`StreamTrace::shard`]s) looks a
@@ -29,20 +33,23 @@
 //! independent cursor over the *same* backend and decoded-chunk table —
 //! one mapping shared by every simulated core.
 //!
-//! Mid-stream corruption or I/O failure panics with context: the layout
-//! is fully validated at open, so a payload that fails to decode later
-//! means the file changed underneath us or the medium failed — neither is
-//! recoverable mid-simulation. Use [`crate::codec::decode`] on the raw
-//! bytes for fallible whole-file reading.
+//! A chunk read or decode that fails *after* open panics with context.
+//! Every payload decoded cleanly at open, so this happens only when the
+//! file is rewritten in place after it was opened or a positioned read
+//! fails; neither is recoverable mid-simulation. A mapped file that is
+//! truncated after open ends the process with `SIGBUS` at the first
+//! access past its new end instead. An in-memory trace never fails here.
 
 use crate::codec::{
     self, ChunkMeta, TraceIoError, V2Layout, WriteSummary, HEADER_BYTES, TAIL_BYTES,
 };
 use crate::record::TraceRecord;
 use crate::shard::ShardSpec;
-use crate::{TraceFeed, VecTrace};
+use crate::TraceFeed;
 use std::fs::File;
-use std::io::{self, BufWriter, Read};
+#[cfg(not(unix))]
+use std::io::Read;
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
@@ -239,7 +246,8 @@ pub struct TraceInfo {
 }
 
 impl TraceInfo {
-    /// Fixed-width (v1) bytes the same records would occupy.
+    /// Bytes the same records would occupy at fixed width
+    /// ([`codec::RECORD_BYTES`] each).
     pub fn raw_bytes(&self) -> u64 {
         self.total_records * codec::RECORD_BYTES as u64
     }
@@ -324,6 +332,7 @@ impl StreamTrace {
 
     fn from_store(store: Store, path: Option<PathBuf>) -> Result<Self, TraceIoError> {
         let layout = load_layout(&store)?;
+        check_payloads(&store, &layout)?;
         let cum = layout.cumulative_starts();
         let chunks = Mutex::new(ChunkTable {
             live: layout.chunks.iter().map(|_| Weak::new()).collect(),
@@ -431,7 +440,7 @@ impl StreamTrace {
                     .unwrap_or_else(|e| panic!("trace chunk {idx} read failed: {e}"));
                 let mut decoded = Vec::new();
                 codec::decode_chunk_bytes(bytes, idx as u64, meta, &mut decoded)
-                    .unwrap_or_else(|e| panic!("trace chunk {idx} corrupt after validation: {e}"));
+                    .unwrap_or_else(|e| panic!("trace chunk {idx} changed after open: {e}"));
                 metrics::TRACE_CHUNKS_DECODED.incr();
                 #[cfg(test)]
                 {
@@ -528,7 +537,7 @@ impl TraceFeed for StreamTrace {
 }
 
 /// Reads the layout (header + tail + index) through the store — three
-/// bounded reads, so opening a 10 GB trace touches only its edges.
+/// bounded reads of the file's edges.
 fn load_layout(store: &Store) -> Result<V2Layout, TraceIoError> {
     let file_len = store.len();
     let mut scratch = Vec::new();
@@ -552,11 +561,17 @@ fn load_layout(store: &Store) -> Result<V2Layout, TraceIoError> {
     Ok(layout)
 }
 
-/// Decodes a whole trace file (either version) into memory.
-pub fn read_any(path: impl AsRef<Path>) -> Result<VecTrace, TraceIoError> {
-    let mut buf = Vec::new();
-    File::open(path.as_ref())?.read_to_end(&mut buf)?;
-    Ok(codec::decode(&buf)?)
+/// Decodes every chunk once, through one reused scratch buffer, so that a
+/// damaged payload is an error at open instead of a panic mid-replay.
+fn check_payloads(store: &Store, layout: &V2Layout) -> Result<(), TraceIoError> {
+    let mut raw = Vec::new();
+    let mut scratch = Vec::new();
+    for (idx, meta) in layout.chunks.iter().enumerate() {
+        let bytes = store.read(meta.offset, meta.bytes as usize, &mut raw)?;
+        scratch.clear();
+        codec::decode_chunk_bytes(bytes, idx as u64, meta, &mut scratch)?;
+    }
+    Ok(())
 }
 
 /// Streams `source` into a v2 file at `path` through a buffered
@@ -577,7 +592,7 @@ pub fn write_v2_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{encode, encode_v2_chunked, DEFAULT_CHUNK_TARGET};
+    use crate::codec::{encode_v2_chunked, DecodeError, DEFAULT_CHUNK_TARGET};
     use crate::record::MemOp;
     use crate::rng::Rng64;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -602,24 +617,22 @@ mod tests {
         }
     }
 
-    fn random_trace(seed: u64, len: usize) -> VecTrace {
+    fn random_trace(seed: u64, len: usize) -> Vec<TraceRecord> {
         let mut rng = Rng64::seed_from_u64(seed);
-        VecTrace::from_records(
-            (0..len)
-                .map(|_| {
-                    TraceRecord::new(
-                        rng.next_u64() >> rng.gen_index(64) as u32,
-                        rng.next_u64() >> rng.gen_index(64) as u32,
-                        if rng.gen_bool(0.4) {
-                            MemOp::Store
-                        } else {
-                            MemOp::Load
-                        },
-                        (rng.next_u64() >> 40) as u32,
-                    )
-                })
-                .collect(),
-        )
+        (0..len)
+            .map(|_| {
+                TraceRecord::new(
+                    rng.next_u64() >> rng.gen_index(64) as u32,
+                    rng.next_u64() >> rng.gen_index(64) as u32,
+                    if rng.gen_bool(0.4) {
+                        MemOp::Store
+                    } else {
+                        MemOp::Load
+                    },
+                    (rng.next_u64() >> 40) as u32,
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -629,14 +642,14 @@ mod tests {
         assert_eq!(s.total_records(), 3000);
         assert_eq!(s.len(), 3000);
         let back: Vec<_> = s.collect();
-        assert_eq!(back, t.records());
+        assert_eq!(back, t);
     }
 
     #[test]
     fn streams_from_file_with_both_backends() {
         let t = random_trace(2, 5000);
         let tmp = TempPath::new("backends");
-        write_v2_file(&tmp.0, t.iter(), 512).unwrap();
+        write_v2_file(&tmp.0, t.iter().copied(), 512).unwrap();
         for s in [
             StreamTrace::open(&tmp.0).unwrap(),
             StreamTrace::open_buffered(&tmp.0).unwrap(),
@@ -644,7 +657,7 @@ mod tests {
             assert_eq!(s.total_records(), 5000);
             let backend = s.backend();
             let back: Vec<_> = s.collect();
-            assert_eq!(back, t.records(), "backend {backend}");
+            assert_eq!(back, t, "backend {backend}");
         }
     }
 
@@ -652,7 +665,7 @@ mod tests {
     fn write_summary_matches_file() {
         let t = random_trace(3, 1000);
         let tmp = TempPath::new("summary");
-        let summary = write_v2_file(&tmp.0, t.iter(), 300).unwrap();
+        let summary = write_v2_file(&tmp.0, t.iter().copied(), 300).unwrap();
         assert_eq!(summary.records, 1000);
         assert_eq!(summary.chunks, 4);
         assert_eq!(summary.file_bytes, std::fs::metadata(&tmp.0).unwrap().len());
@@ -699,7 +712,7 @@ mod tests {
         for i in 0..t.len() {
             rebuilt.push(parts[i % shards as usize][i / shards as usize]);
         }
-        assert_eq!(rebuilt, t.records());
+        assert_eq!(rebuilt, t);
     }
 
     #[test]
@@ -715,7 +728,7 @@ mod tests {
             assert_eq!(part.len() as u64, part.remaining());
             rebuilt.extend(part);
         }
-        assert_eq!(rebuilt, t.records());
+        assert_eq!(rebuilt, t);
     }
 
     #[test]
@@ -756,28 +769,72 @@ mod tests {
             s.next();
         }
         let fresh: Vec<_> = s.clone().collect();
-        assert_eq!(fresh, t.records());
+        assert_eq!(fresh, t);
         assert_eq!(s.remaining(), 500);
     }
 
     #[test]
     fn empty_trace_streams_empty() {
-        let s = StreamTrace::from_bytes(encode_v2_chunked(&VecTrace::new(), 8)).unwrap();
+        let s = StreamTrace::from_bytes(encode_v2_chunked(&[], 8)).unwrap();
         assert_eq!(s.total_records(), 0);
         assert_eq!(s.count(), 0);
     }
 
     #[test]
-    fn open_rejects_v1_and_garbage() {
+    fn open_rejects_retired_version_and_missing_files() {
+        // A version-1 (fixed-width) file: 16-byte header + one record.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&codec::MAGIC.to_le_bytes());
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&1u64.to_le_bytes());
+        v1.extend_from_slice(&[0u8; codec::RECORD_BYTES]);
         let tmp = TempPath::new("v1");
-        std::fs::write(&tmp.0, encode(&random_trace(9, 10))).unwrap();
+        std::fs::write(&tmp.0, &v1).unwrap();
         assert!(matches!(
             StreamTrace::open(&tmp.0),
-            Err(TraceIoError::Decode(codec::DecodeError::BadVersion(1)))
+            Err(TraceIoError::Decode(DecodeError::BadVersion(1)))
         ));
-        // read_any still handles v1.
-        assert_eq!(read_any(&tmp.0).unwrap(), random_trace(9, 10));
         assert!(StreamTrace::open("/nonexistent/redhip.trace").is_err());
+    }
+
+    #[test]
+    fn layout_reports_chunks_and_their_starts() {
+        let s = StreamTrace::from_bytes(encode_v2_chunked(&random_trace(3, 1000), 256)).unwrap();
+        let layout = &s.inner.layout;
+        assert_eq!(layout.chunks.len(), 4);
+        assert_eq!(layout.total_records, 1000);
+        assert_eq!(layout.chunk_target, 256);
+        assert_eq!(layout.cumulative_starts(), vec![0, 256, 512, 768, 1000]);
+    }
+
+    #[test]
+    fn damaged_payload_is_refused_at_open_naming_the_chunk() {
+        let t = random_trace(13, 2000);
+        let mut buf = encode_v2_chunked(&t, 500);
+        let layout = StreamTrace::from_bytes(buf.clone())
+            .unwrap()
+            .inner
+            .layout
+            .clone();
+        // Invert the middle of chunk 2's payload; header, index and tail
+        // stay intact, so only a payload check can notice.
+        let c = layout.chunks[2];
+        let mid = (c.offset + u64::from(c.bytes) / 2) as usize;
+        buf[mid..mid + 40].iter_mut().for_each(|b| *b = !*b);
+        let tmp = TempPath::new("damaged");
+        std::fs::write(&tmp.0, &buf).unwrap();
+        for opened in [
+            StreamTrace::from_bytes(buf),
+            StreamTrace::open(&tmp.0),
+            StreamTrace::open_buffered(&tmp.0),
+        ] {
+            match opened {
+                Err(TraceIoError::Decode(e @ DecodeError::BadChunk { chunk: 2, .. })) => {
+                    assert!(e.to_string().contains("chunk 2"), "{e}");
+                }
+                other => panic!("expected chunk 2 to be refused, got {other:?}"),
+            }
+        }
     }
 
     /// Chunk decodes performed so far for `s`'s open file.
@@ -842,7 +899,7 @@ mod tests {
         assert_eq!(decodes(&base), chunks * (1 + CORES as usize));
         assert_eq!(sequential, lockstep);
         for (k, part) in lockstep.iter().enumerate() {
-            let expect: Vec<_> = t.iter().skip(k).step_by(CORES as usize).collect();
+            let expect: Vec<_> = t.iter().copied().skip(k).step_by(CORES as usize).collect();
             assert_eq!(*part, expect, "shard {k}");
         }
     }
@@ -895,15 +952,14 @@ mod tests {
     #[test]
     fn chunk_count_beyond_its_bytes_is_rejected_before_decoding() {
         let buf = oversized_count_file();
-        assert!(matches!(
-            crate::codec::decode(&buf),
-            Err(crate::codec::DecodeError::BadFooter { .. })
-        ));
         let tmp = TempPath::new("oversized-count");
         std::fs::write(&tmp.0, &buf).unwrap();
         assert!(StreamTrace::open(&tmp.0).is_err());
         assert!(StreamTrace::open_buffered(&tmp.0).is_err());
-        assert!(StreamTrace::from_bytes(buf).is_err());
+        assert!(matches!(
+            StreamTrace::from_bytes(buf),
+            Err(TraceIoError::Decode(DecodeError::BadFooter { .. }))
+        ));
     }
 
     #[test]
@@ -911,6 +967,6 @@ mod tests {
         let t = random_trace(10, 1000);
         let s = StreamTrace::from_bytes(encode_v2_chunked(&t, DEFAULT_CHUNK_TARGET)).unwrap();
         assert_eq!(s.info().chunks, 1);
-        assert_eq!(s.collect::<Vec<_>>(), t.records());
+        assert_eq!(s.collect::<Vec<_>>(), t);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The `workloads` crate builds benchmark-like traces either by running real
 //! kernels (BFS, SGD, stencils) or by composing the primitives here. Each
-//! primitive is an infinite [`TraceSource`](crate::TraceSource); callers
+//! primitive is an infinite `Iterator<Item = TraceRecord>`; callers
 //! bound them with `take(n)`.
 
 use crate::record::{MemOp, TraceRecord};

@@ -43,9 +43,7 @@ pub use config::{
 };
 pub use metrics::Comparison;
 pub use predictor::{parse_spec, spec_string, MechanismInfo, ParsedSpec, REGISTRY};
-pub use run::{
-    run_feeds, run_feeds_with, run_traces, run_traces_with, CoreFeed, CoreTrace, RunResult,
-};
+pub use run::{run_feeds, run_feeds_with, run_traces, run_traces_with, CoreFeed, RunResult};
 pub use stats::{PredictionStats, PrefetchSummary};
 pub use system::System;
 pub use telemetry::{

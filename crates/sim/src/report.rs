@@ -89,9 +89,10 @@ pub fn render(result: &RunResult) -> String {
 mod tests {
     use super::*;
     use crate::config::{Mechanism, SimConfig};
-    use crate::run::{run_traces, CoreTrace};
+    use crate::run::run_traces;
     use energy_model::presets::demo_scale;
     use mem_trace::record::TraceRecord;
+    use mem_trace::DynTrace;
 
     #[test]
     fn report_contains_all_sections() {
@@ -100,7 +101,7 @@ mod tests {
         let mut cfg = SimConfig::new(platform, Mechanism::Redhip);
         cfg.refs_per_core = 5_000;
         cfg.recalib_period = Some(512);
-        let t: CoreTrace = Box::new((0..u64::MAX).map(|i| {
+        let t: DynTrace = Box::new((0..u64::MAX).map(|i| {
             let a = if i % 3 == 0 {
                 (i * 97) % (1 << 30)
             } else {
@@ -128,7 +129,7 @@ mod tests {
         platform.cores = 1;
         let mut cfg = SimConfig::new(platform, Mechanism::Base);
         cfg.refs_per_core = 1_000;
-        let t: CoreTrace = Box::new((0..u64::MAX).map(|i| TraceRecord::load(0, i * 64)));
+        let t: DynTrace = Box::new((0..u64::MAX).map(|i| TraceRecord::load(0, i * 64)));
         let r = run_traces(&cfg, vec![t]);
         let s = render(&r);
         assert!(!s.contains("predictor:"));

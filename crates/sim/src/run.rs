@@ -6,12 +6,9 @@ use crate::system::System;
 use cache_sim::{HierarchyStats, Traversal};
 use energy_model::EnergyReport;
 use mem_trace::record::TraceRecord;
-use mem_trace::{IterFeed, TraceFeed};
+use mem_trace::{DynTrace, IterFeed, TraceFeed};
 use minijson::{json, FromJson, Json, ToJson};
 use telemetry::{NullObserver, SimObserver};
-
-/// A per-core stream of records.
-pub type CoreTrace = Box<dyn Iterator<Item = TraceRecord> + Send>;
 
 /// A per-core bulk record producer — the refill side of the harness.
 ///
@@ -142,7 +139,7 @@ fn core_physical(cfg: &SimConfig, core: usize, addr: u64) -> u64 {
 /// # Panics
 /// Panics when the number of traces differs from the platform's core count
 /// or the configuration is invalid.
-pub fn run_traces(cfg: &SimConfig, traces: Vec<CoreTrace>) -> RunResult {
+pub fn run_traces(cfg: &SimConfig, traces: Vec<DynTrace>) -> RunResult {
     run_traces_with(cfg, traces, NullObserver).0
 }
 
@@ -205,7 +202,7 @@ impl BufferedTrace {
 /// or the configuration is invalid.
 pub fn run_traces_with<O: SimObserver>(
     cfg: &SimConfig,
-    traces: Vec<CoreTrace>,
+    traces: Vec<DynTrace>,
     obs: O,
 ) -> (RunResult, O) {
     let feeds = traces
@@ -336,7 +333,7 @@ mod tests {
         c
     }
 
-    fn stream(seed: u64) -> CoreTrace {
+    fn stream(seed: u64) -> DynTrace {
         // Deterministic mixed stream: a hot 8 KB region comfortably inside
         // L1 (7 of 8 refs) plus cold, never-reused misses (1 of 8) that the
         // predictor should learn to bypass.
@@ -467,7 +464,7 @@ mod tests {
     #[test]
     fn early_ending_trace_is_tolerated() {
         let cfg = tiny_cfg(Mechanism::Base);
-        let short: CoreTrace = Box::new((0..100u64).map(|i| TraceRecord::load(0x400, i * 64)));
+        let short: DynTrace = Box::new((0..100u64).map(|i| TraceRecord::load(0x400, i * 64)));
         let r = run_traces(&cfg, vec![short, stream(2)]);
         assert_eq!(r.refs_per_core[0], 100);
         assert_eq!(r.refs_per_core[1], 40_000);
@@ -530,14 +527,14 @@ mod tests {
         // the exact same per-core sequences, so every statistic — energy
         // floats included — must be byte-identical.
         use mem_trace::codec::encode_v2_chunked;
-        use mem_trace::{ShardSpec, StreamTrace, VecTrace};
+        use mem_trace::{ShardSpec, StreamTrace};
         let cfg = tiny_cfg(Mechanism::Redhip);
         let n = cfg.refs_per_core;
         let per_core: Vec<Vec<TraceRecord>> = [1u64, 2]
             .iter()
             .map(|&s| stream(s).take(n).collect())
             .collect();
-        let mut merged = VecTrace::new();
+        let mut merged = Vec::with_capacity(2 * n);
         for i in 0..n {
             for core in &per_core {
                 merged.push(core[i]);

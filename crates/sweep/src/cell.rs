@@ -232,14 +232,11 @@ mod tests {
     #[test]
     fn file_cells_key_dedup_and_simulate_deterministically() {
         use mem_trace::record::TraceRecord;
-        use mem_trace::VecTrace;
         use minijson::ToJson;
         let path =
             std::env::temp_dir().join(format!("redhip-sweepcell-{}.trace", std::process::id()));
-        let t: VecTrace = (0..4000u64)
-            .map(|i| TraceRecord::load(0x400 + i % 9, (i * 2897) % (1 << 22)))
-            .collect();
-        mem_trace::stream::write_v2_file(&path, t.iter(), 256).unwrap();
+        let t = (0..4000u64).map(|i| TraceRecord::load(0x400 + i % 9, (i * 2897) % (1 << 22)));
+        mem_trace::stream::write_v2_file(&path, t, 256).unwrap();
         let w = std::sync::Arc::new(
             workloads::TraceFileWorkload::from_spec(&format!("file:{}:interleave", path.display()))
                 .unwrap(),

@@ -17,7 +17,7 @@
 //! `file:PATH:range` (default `dup`); [`crate::WorkloadSource::parse`]
 //! accepts either a registry benchmark name or such a spec.
 
-use crate::registry::DynTrace;
+use mem_trace::DynTrace;
 use mem_trace::{ShardSpec, StreamTrace, TraceIoError};
 use std::io;
 use std::path::Path;
@@ -190,15 +190,12 @@ impl TraceFileWorkload {
 mod tests {
     use super::*;
     use mem_trace::record::TraceRecord;
-    use mem_trace::VecTrace;
 
     fn write_sample(tag: &str, n: u64) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("redhip-filewl-{}-{tag}.trace", std::process::id()));
-        let t: VecTrace = (0..n)
-            .map(|i| TraceRecord::load(0x400 + i % 13, i * 64))
-            .collect();
-        mem_trace::stream::write_v2_file(&path, t.iter(), 64).unwrap();
+        let t = (0..n).map(|i| TraceRecord::load(0x400 + i % 13, i * 64));
+        mem_trace::stream::write_v2_file(&path, t, 64).unwrap();
         path
     }
 
@@ -261,8 +258,8 @@ mod tests {
         assert!(tag.contains("interleave") && tag.contains(":r50:"));
         drop(a);
         // Rewriting the file with different content changes the tag.
-        let t: VecTrace = (0..60u64).map(|i| TraceRecord::load(0x400, i)).collect();
-        mem_trace::stream::write_v2_file(&path, t.iter(), 64).unwrap();
+        let t = (0..60u64).map(|i| TraceRecord::load(0x400, i));
+        mem_trace::stream::write_v2_file(&path, t, 64).unwrap();
         let b = TraceFileWorkload::open(&path, FileMode::Interleave).unwrap();
         assert_ne!(b.identity_tag(), tag);
         let _ = std::fs::remove_file(&path);

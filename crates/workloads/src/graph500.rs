@@ -7,9 +7,9 @@
 //! the *actual* address stream of the kernel: frontier reads, offset-array
 //! lookups, adjacency streaming, and distance-array scatter.
 
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::record::{MemOp, TraceRecord};
+use mem_trace::DynTrace;
 use mem_trace::Rng64;
 
 const XADJ_BASE: u64 = 0x09_0000_0000;

@@ -40,5 +40,6 @@ pub mod scale;
 pub mod spec;
 
 pub use file::{FileMode, TraceFileWorkload};
-pub use registry::{Benchmark, DynTrace, WorkloadSource};
+pub use mem_trace::DynTrace;
+pub use registry::{Benchmark, WorkloadSource};
 pub use scale::Scale;

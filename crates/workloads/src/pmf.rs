@@ -6,10 +6,10 @@
 //! popularity follows a Zipf law (as in real recommender data), so hot item
 //! rows are reused while the user side scatters.
 
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::record::{MemOp, TraceRecord};
 use mem_trace::zipf::Zipf;
+use mem_trace::DynTrace;
 use mem_trace::Rng64;
 
 const RATINGS_BASE: u64 = 0x0a_0000_0000;

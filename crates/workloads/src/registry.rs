@@ -2,10 +2,7 @@
 
 use crate::scale::Scale;
 use crate::{graph500, pmf, spec};
-use mem_trace::record::TraceRecord;
-
-/// A boxed trace generator handed to the simulator, one per core.
-pub type DynTrace = Box<dyn Iterator<Item = TraceRecord> + Send>;
+use mem_trace::DynTrace;
 
 /// The paper's workloads (Figures 6–15 x-axis, plus `average` computed by
 /// the harness).
@@ -256,13 +253,11 @@ mod tests {
 
     #[test]
     fn workload_source_replays_files() {
-        use mem_trace::VecTrace;
+        use mem_trace::TraceRecord;
         let path =
             std::env::temp_dir().join(format!("redhip-registry-{}.trace", std::process::id()));
-        let t: VecTrace = (0..40u64)
-            .map(|i| TraceRecord::load(0x400, i * 64))
-            .collect();
-        mem_trace::stream::write_v2_file(&path, t.iter(), 16).unwrap();
+        let t = (0..40u64).map(|i| TraceRecord::load(0x400, i * 64));
+        mem_trace::stream::write_v2_file(&path, t, 16).unwrap();
         let src = WorkloadSource::parse(&format!("file:{}:interleave", path.display())).unwrap();
         assert!(src.name().ends_with(":interleave"));
         assert_eq!(src.avg_cpi(), crate::file::DEFAULT_FILE_CPI);

@@ -7,10 +7,10 @@
 //! regularity beyond the queue maintenance.
 
 use super::{boxed, seed_for};
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::record::TraceRecord;
 use mem_trace::synth::{RandomInRegion, Region, SequentialStream, WeightedMix, ZipfOverRecords};
+use mem_trace::DynTrace;
 
 /// Expands every record of an inner stream into three same-line field
 /// accesses (offset +0, +16, +32), as a node expansion does.

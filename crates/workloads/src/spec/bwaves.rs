@@ -6,9 +6,9 @@
 //! stride predictability, moderate store share.
 
 use super::{boxed, seed_for};
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::synth::{LineTouches, Region, SequentialStream, WeightedMix, ZipfOverRecords};
+use mem_trace::DynTrace;
 
 const BASE: u64 = 0x01_0000_0000;
 

@@ -7,11 +7,11 @@
 //! point touches more auxiliary state, diluting short-range reuse.
 
 use super::{boxed, seed_for};
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::synth::{
     LineTouches, Region, SequentialStream, Stencil3D, WeightedMix, ZipfOverRecords,
 };
+use mem_trace::DynTrace;
 
 const GRID_IN: u64 = 0x03_0000_0000;
 const GRID_OUT: u64 = 0x03_4000_0000;

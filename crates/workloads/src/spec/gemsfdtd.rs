@@ -7,9 +7,9 @@
 //! caches, very high stride predictability.
 
 use super::{boxed, seed_for};
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::synth::{LineTouches, Region, Stencil3D, WeightedMix, ZipfOverRecords};
+use mem_trace::DynTrace;
 
 const E_BASE: u64 = 0x02_0000_0000;
 const H_BASE: u64 = 0x02_8000_0000;

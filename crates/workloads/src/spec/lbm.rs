@@ -7,9 +7,9 @@
 //! predictability — the poster child for stride prefetching.
 
 use super::{boxed, seed_for};
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::synth::{LineTouches, Region, SequentialStream, WeightedMix, ZipfOverRecords};
+use mem_trace::DynTrace;
 
 const SRC: u64 = 0x04_0000_0000;
 const DST: u64 = 0x04_8000_0000;

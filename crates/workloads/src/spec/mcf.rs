@@ -15,9 +15,9 @@
 //! arc/potential fields and an occasional store to the flow field.
 
 use super::{boxed, seed_for};
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::record::{MemOp, TraceRecord};
+use mem_trace::DynTrace;
 
 const POOL: u64 = 0x05_0000_0000;
 /// Node record size: two cache lines, like mcf's node + spill of arcs.

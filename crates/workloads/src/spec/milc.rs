@@ -6,9 +6,9 @@
 //! constant record stride, modest compute gaps, mostly loads.
 
 use super::{boxed, seed_for};
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::synth::{LineTouches, Region, SequentialStream, WeightedMix, ZipfOverRecords};
+use mem_trace::DynTrace;
 
 const LINKS: u64 = 0x06_0000_0000;
 const SITES: u64 = 0x06_8000_0000;

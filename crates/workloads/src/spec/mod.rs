@@ -18,8 +18,8 @@ pub mod mcf;
 pub mod milc;
 pub mod soplex;
 
-use crate::registry::DynTrace;
 use mem_trace::record::TraceRecord;
+use mem_trace::DynTrace;
 
 /// Boxes a concrete generator as a [`DynTrace`].
 pub(crate) fn boxed<T>(t: T) -> DynTrace
@@ -36,9 +36,9 @@ pub(crate) fn seed_for(base: u64, core: usize) -> u64 {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use crate::registry::DynTrace;
     use crate::scale::Scale;
     use mem_trace::stats::TraceStats;
+    use mem_trace::DynTrace;
 
     /// Asserts the properties every workload needs for the evaluation: a
     /// growing footprint (full-run footprints exceed the LLC; sweep-style

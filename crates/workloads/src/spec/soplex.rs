@@ -6,10 +6,10 @@
 //! vectors (reduced costs, basis) are reused constantly.
 
 use super::{boxed, seed_for};
-use crate::registry::DynTrace;
 use crate::scale::Scale;
 use mem_trace::record::TraceRecord;
 use mem_trace::synth::{Region, SequentialStream, WeightedMix, ZipfOverRecords};
+use mem_trace::DynTrace;
 
 /// Walks four consecutive 16 B entries from each column start produced by
 /// the inner stream.

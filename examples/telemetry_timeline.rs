@@ -16,7 +16,7 @@ use redhip_repro::prelude::*;
 
 /// Uniform random references over a region twice the LLC: every miss
 /// fills one line and evicts another whose table bit goes stale.
-fn drift_trace(region_blocks: u64) -> CoreTrace {
+fn drift_trace(region_blocks: u64) -> DynTrace {
     Box::new((0..u64::MAX).map(move |i| {
         let mut z = i
             .wrapping_add(0x9E3779B97F4A7C15)

@@ -1,10 +1,10 @@
 //! Trace capture, persistence, and locality analysis.
 //!
-//! Records a slice of the mcf workload to the binary trace format, reads it
-//! back, verifies the round trip, and runs exact reuse-distance analysis —
-//! the methodology used to validate every workload generator in this
-//! reproduction (and the way you would analyse your *own* traces before
-//! feeding them to the simulator).
+//! Records a slice of the mcf workload to the v2 trace format, reads it
+//! back through `StreamTrace`, verifies the round trip, and runs exact
+//! reuse-distance analysis — the methodology used to validate every
+//! workload generator in this reproduction (and the way you would analyse
+//! your *own* traces before feeding them to the simulator).
 //!
 //! ```sh
 //! cargo run --release --example trace_tools
@@ -13,27 +13,31 @@
 use redhip_repro::mem_trace::codec;
 use redhip_repro::mem_trace::reuse::ReuseHistogram;
 use redhip_repro::mem_trace::stats::TraceStats;
-use redhip_repro::mem_trace::VecTrace;
 use redhip_repro::prelude::*;
 
 fn main() {
-    // 1. Capture 200k references of mcf into an owned trace.
-    let trace = VecTrace::collect_from(Benchmark::Mcf.trace(0, Scale::Smoke), 200_000);
+    // 1. Capture 200k references of mcf.
+    let trace: Vec<TraceRecord> = Benchmark::Mcf
+        .trace(0, Scale::Smoke)
+        .take(200_000)
+        .collect();
     println!("captured {} references of mcf (rank 0)", trace.len());
 
-    // 2. Persist and reload through the binary codec.
-    let bytes = codec::encode(&trace);
+    // 2. Persist and reload through the v2 codec and its one reader.
+    let bytes = codec::encode_v2(&trace);
     println!(
-        "encoded: {} bytes ({} B/record incl. header)",
+        "encoded: {} bytes ({:.2} B/record incl. framing)",
         bytes.len(),
-        bytes.len() / trace.len()
+        bytes.len() as f64 / trace.len() as f64
     );
-    let reloaded = codec::decode(&bytes).expect("well-formed trace");
+    let reloaded: Vec<TraceRecord> = StreamTrace::from_bytes(bytes)
+        .expect("well-formed trace")
+        .collect();
     assert_eq!(reloaded, trace, "lossless round trip");
     println!("decode verified: bit-exact round trip ✓");
 
     // 3. Characterize the stream.
-    let stats = TraceStats::measure(trace.iter(), trace.len());
+    let stats = TraceStats::measure(trace.iter().copied(), trace.len());
     println!("\nstream character:");
     println!(
         "  footprint          : {:.2} MB",
@@ -51,7 +55,7 @@ fn main() {
 
     // 4. Exact reuse-distance analysis → LRU hit rates at the demo-scale
     //    cache sizes (fully-associative bound).
-    let hist = ReuseHistogram::measure(trace.iter(), trace.len());
+    let hist = ReuseHistogram::measure(trace.iter().copied(), trace.len());
     println!("\nreuse-distance profile:");
     println!(
         "  compulsory misses  : {:.1}%",

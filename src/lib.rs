@@ -9,7 +9,8 @@
 //! * [`energy_model`] — Table I parameters and energy accounting.
 //! * [`sim`] — the multi-core trace-driven simulator.
 //! * [`workloads`] — the 11 evaluation workloads.
-//! * [`mem_trace`] — trace records, synthetic streams, codec, statistics.
+//! * [`mem_trace`] — trace records, synthetic streams, the v2 trace file
+//!   format and its reader, statistics.
 //! * [`prefetch`] — the stride prefetcher of §V-C.
 //!
 //! # Quickstart
@@ -39,13 +40,13 @@ pub use workloads;
 pub mod prelude {
     pub use cache_sim::{DeepHierarchy, HierarchyConfig, InclusionPolicy, ReplacementPolicy};
     pub use energy_model::presets::{demo_scale, table_i};
-    pub use mem_trace::{MemOp, ShardSpec, StreamTrace, TraceFeed, TraceRecord, TraceSource};
+    pub use mem_trace::{DynTrace, MemOp, ShardSpec, StreamTrace, TraceFeed, TraceRecord};
     pub use prefetch::{StrideConfig, StridePrefetcher};
     pub use redhip::{CountingBloomFilter, PredictionTable, RecalibrationEngine};
     pub use sim::{
-        run_feeds, run_traces, run_traces_with, Comparison, CoreFeed, CoreTrace, Heartbeat,
-        HeartbeatObserver, Mechanism, NullObserver, RecalibMarker, RunResult, SimConfig,
-        SimObserver, Tee, TelemetryRecord, WindowSample, WindowedCollector,
+        run_feeds, run_traces, run_traces_with, Comparison, CoreFeed, Heartbeat, HeartbeatObserver,
+        Mechanism, NullObserver, RecalibMarker, RunResult, SimConfig, SimObserver, Tee,
+        TelemetryRecord, WindowSample, WindowedCollector,
     };
     pub use workloads::{Benchmark, FileMode, Scale, TraceFileWorkload, WorkloadSource};
 }

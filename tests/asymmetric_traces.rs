@@ -15,8 +15,8 @@ fn asymmetric_run(mechanism: Mechanism) -> RunResult {
     cfg.avg_cpi = Benchmark::Mcf.avg_cpi();
     cfg.recalib_period = Some(4_096);
     // Core 0 runs out of trace early; core 1 runs to the configured target.
-    let short: CoreTrace = Box::new(Benchmark::Mcf.trace(0, Scale::Smoke).take(SHORT as usize));
-    let full: CoreTrace = Benchmark::Mcf.trace(1, Scale::Smoke);
+    let short: DynTrace = Box::new(Benchmark::Mcf.trace(0, Scale::Smoke).take(SHORT as usize));
+    let full: DynTrace = Benchmark::Mcf.trace(1, Scale::Smoke);
     run_traces(&cfg, vec![short, full])
 }
 

@@ -22,9 +22,10 @@
 use cache_sim::hierarchy::InclusionPolicy;
 use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
+use mem_trace::DynTrace;
 use minijson::{Json, ToJson};
 use prefetch::StrideConfig;
-use sim::{run_traces, AccountingOptions, CoreTrace, Mechanism, SimConfig};
+use sim::{run_traces, AccountingOptions, Mechanism, SimConfig};
 use std::path::PathBuf;
 
 const MECHANISMS: [Mechanism; 8] = [
@@ -50,7 +51,7 @@ const RECALIB_PERIOD: u64 = 1_500;
 /// the regimes that stress different hot-path branches: a mostly-L1-hitting
 /// sequential stream, a Zipf-skewed mix with heavy LLC traffic, and a
 /// serially-dependent pointer chase sized between L2 and LLC.
-fn trace(workload: &str, core: usize) -> CoreTrace {
+fn trace(workload: &str, core: usize) -> DynTrace {
     let seed = 0x601D_BA5E + core as u64;
     match workload {
         "stream" => Box::new(

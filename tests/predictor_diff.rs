@@ -16,8 +16,9 @@
 
 use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
+use mem_trace::DynTrace;
 use minijson::ToJson;
-use sim::{parse_spec, run_traces, CoreTrace, Mechanism, RunResult, SimConfig};
+use sim::{parse_spec, run_traces, Mechanism, RunResult, SimConfig};
 
 const CORES: usize = 2;
 const ROUNDS: u64 = 4;
@@ -38,7 +39,7 @@ fn draw(state: &mut u64, lo: u64, hi: u64) -> u64 {
 /// One synthetic per-core trace: the same three regimes the golden suite
 /// covers (sequential stream, Zipf mix, pointer chase), but at fuzzed
 /// seeds and footprints.
-fn trace(kind: u64, seed: u64, core: usize) -> CoreTrace {
+fn trace(kind: u64, seed: u64, core: usize) -> DynTrace {
     let s = seed ^ (core as u64).wrapping_mul(0x9E37_79B9);
     match kind % 3 {
         0 => Box::new(

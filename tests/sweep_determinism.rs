@@ -12,8 +12,9 @@ use bench::figures::{self, Settings, StudyPlan};
 use bench::harness::FigureScale;
 use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
+use mem_trace::DynTrace;
 use minijson::ToJson;
-use sim::{run_traces, CoreTrace, Mechanism, SimConfig};
+use sim::{run_traces, Mechanism, SimConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use sweep::{ResultCache, SweepEngine, SweepPlan};
@@ -188,7 +189,7 @@ const GOLDEN_MECHANISMS: [Mechanism; 8] = [
 const GOLDEN_WORKLOADS: [&str; 3] = ["stream", "zipf", "chase"];
 const GOLDEN_CORES: usize = 2;
 
-fn golden_trace(workload: &str, core: usize) -> CoreTrace {
+fn golden_trace(workload: &str, core: usize) -> DynTrace {
     let seed = 0x601D_BA5E + core as u64;
     match workload {
         "stream" => Box::new(

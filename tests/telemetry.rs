@@ -5,8 +5,9 @@
 
 use energy_model::presets::demo_scale;
 use mem_trace::record::{MemOp, TraceRecord};
+use mem_trace::DynTrace;
 use sim::{
-    run_traces, run_traces_with, CoreTrace, Mechanism, RunResult, SimConfig, TelemetryRecord,
+    run_traces, run_traces_with, Mechanism, RunResult, SimConfig, TelemetryRecord,
     WindowedCollector,
 };
 
@@ -22,7 +23,7 @@ fn telemetry_cfg(cores: usize) -> SimConfig {
 /// Mixed hot/cold stream (same shape as the `sim` unit-test workload): a
 /// hot 8 KB region the L1 absorbs plus cold never-reused misses the
 /// predictor learns to bypass.
-fn stream(seed: u64) -> CoreTrace {
+fn stream(seed: u64) -> DynTrace {
     Box::new((0..u64::MAX).map(move |i| {
         let x = (i.wrapping_mul(6364136223846793005).wrapping_add(seed)) >> 33;
         let addr = if i % 8 != 0 {
@@ -167,7 +168,7 @@ fn recalibration_restores_window_accuracy_on_drifting_trace() {
     // fills a line (setting its table bit) and evicts another whose bit
     // goes stale, so false positives accumulate between recalibrations and
     // vanish right after one rebuilds the table from cache contents.
-    let drift: CoreTrace = Box::new((0..u64::MAX).map(|i| {
+    let drift: DynTrace = Box::new((0..u64::MAX).map(|i| {
         let mut z = i
             .wrapping_add(0x9E3779B97F4A7C15)
             .wrapping_mul(0xBF58476D1CE4E5B9);

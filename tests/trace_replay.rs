@@ -9,9 +9,9 @@
 
 use mem_trace::codec::ChunkWriter;
 use mem_trace::stream::{write_v2_file, StreamTrace};
-use mem_trace::{ShardSpec, TraceRecord};
+use mem_trace::{DynTrace, ShardSpec, TraceRecord};
 use minijson::ToJson;
-use sim::{run_feeds, run_traces, CoreFeed, CoreTrace, Mechanism, SimConfig};
+use sim::{run_feeds, run_traces, CoreFeed, Mechanism, SimConfig};
 use workloads::{Benchmark, FileMode, Scale, TraceFileWorkload};
 
 const REFS_PER_CORE: usize = 6_000;
@@ -58,7 +58,7 @@ fn replay_matches_synthesis_for_every_mechanism() {
         Mechanism::Oracle,
     ] {
         let cfg = config(mechanism);
-        let traces: Vec<CoreTrace> = (0..cores)
+        let traces: Vec<DynTrace> = (0..cores)
             .map(|c| Benchmark::Mcf.trace(c, Scale::Smoke))
             .collect();
         let synth = run_traces(&cfg, traces);
