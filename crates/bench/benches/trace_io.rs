@@ -1,9 +1,10 @@
 //! Trace codec and streaming-replay throughput.
 //!
 //! The streaming pipeline only pays off if decode runs far ahead of the
-//! simulator (~1 Mref/s): these rows pin encode, chunk decode (both store
-//! backends), bulk refill vs per-record iteration, interleave sharding
-//! both one shard after another and in lock-step, and end-to-end replay.
+//! simulator (~1 Mref/s): these rows pin encode, chunk decode (from memory
+//! and from a file), bulk refill vs per-record iteration, interleave
+//! sharding both one shard after another and in lock-step, and end-to-end
+//! replay.
 
 use bench::micro::Group;
 use mem_trace::codec::DEFAULT_CHUNK_TARGET;
@@ -37,21 +38,13 @@ fn main() {
         acc
     });
 
-    // File-backed backends: mmap pages vs positioned reads.
+    // The same records read from a file with positioned reads.
     let path = std::env::temp_dir().join(format!("redhip-trace-io-{}.trace", std::process::id()));
     write_v2_file(&path, records.iter().copied(), DEFAULT_CHUNK_TARGET).expect("write");
-    let mapped = StreamTrace::open(&path).expect("open");
-    g.bench(&format!("decode_{}", mapped.backend()), || {
+    let file = StreamTrace::open(&path).expect("open");
+    g.bench("decode_file", || {
         let mut acc = 0u64;
-        for r in mapped.clone() {
-            acc ^= r.addr;
-        }
-        acc
-    });
-    let buffered = StreamTrace::open_buffered(&path).expect("open buffered");
-    g.bench(&format!("decode_{}", buffered.backend()), || {
-        let mut acc = 0u64;
-        for r in buffered.clone() {
+        for r in file.clone() {
             acc ^= r.addr;
         }
         acc
@@ -126,7 +119,7 @@ fn main() {
         || {
             (0..cores)
                 .map(|i| {
-                    Box::new(mapped.shard(ShardSpec::Interleave {
+                    Box::new(file.shard(ShardSpec::Interleave {
                         shards: cores as u32,
                         index: i as u32,
                     })) as CoreFeed

@@ -3,7 +3,9 @@
 //! They all read and write the one v2 trace format
 //! ([`mem_trace::codec`]); [`USAGE`] documents their flags, and
 //! `redhip-sim trace --help` prints it. A trace file that fails to open
-//! or decode is a usage error: exit 2 with a message naming the path.
+//! or decode, or whose chunk cannot be read later in a replay or a
+//! conversion (the file shrank mid-run), is a usage error: exit 2 with a
+//! message naming the path and the chunk.
 
 use crate::harness::{mechanism_config, FigureScale};
 use mem_trace::codec::{ChunkWriter, WriteSummary, DEFAULT_CHUNK_TARGET};
@@ -45,7 +47,6 @@ redhip-sim trace replay --in FILE [options]
       --scale S       smoke|demo|paper platform       (default demo)
       --refs N        references per core             (default: shard len)
       --cpi X         CPI charged for gap instructions (default 1.5)
-      --buffered      positioned reads instead of mmap
       --json FILE     write the RunResult as JSON
       --quiet         suppress the stderr heartbeat
 ";
@@ -231,7 +232,15 @@ fn convert(args: Vec<String>) {
     }
     let summary = if u32::from_le_bytes(head) == mem_trace::codec::MAGIC {
         let stream = StreamTrace::open(&input).unwrap_or_else(|e| usage(&format!("{input}: {e}")));
-        write_v2_file(&out, stream, chunk).unwrap_or_else(|e| write_failed(&out, e))
+        let summary =
+            write_v2_file(&out, stream.clone(), chunk).unwrap_or_else(|e| write_failed(&out, e));
+        // A chunk that could not be read after open ended the copy early;
+        // the short output would pass for a whole trace, so remove it.
+        if let Some(e) = stream.error() {
+            let _ = std::fs::remove_file(&out);
+            usage(&format!("{input}: {e}"));
+        }
+        summary
     } else {
         let file = std::fs::File::open(&input)
             .unwrap_or_else(|e| usage(&format!("cannot open {input}: {e}")));
@@ -299,7 +308,6 @@ fn replay(args: Vec<String>) {
     let mut scale = FigureScale::Demo;
     let mut refs: Option<usize> = None;
     let mut cpi: Option<f64> = None;
-    let mut buffered = false;
     let mut json_path: Option<String> = None;
     let mut quiet = false;
     let mut f = Flags::new(args);
@@ -322,7 +330,6 @@ fn replay(args: Vec<String>) {
             }
             "--refs" => refs = Some(f.parse("--refs")),
             "--cpi" => cpi = Some(f.parse("--cpi")),
-            "--buffered" => buffered = true,
             "--json" => json_path = Some(f.value("--json")),
             "--quiet" | "-q" => quiet = true,
             other => usage(&format!("unknown argument {other}")),
@@ -330,14 +337,10 @@ fn replay(args: Vec<String>) {
     }
     let input = input.unwrap_or_else(|| usage("--in is required"));
 
-    // --buffered keeps resident memory at one raw + one decoded chunk per
-    // core via positioned reads, even for files far larger than RAM.
-    let mut workload = if buffered {
-        TraceFileWorkload::open_buffered(&input, mode)
-    } else {
-        TraceFileWorkload::open(&input, mode)
-    }
-    .unwrap_or_else(|e| usage(&format!("{input}: {e}")));
+    // Positioned reads keep resident memory at one raw chunk per file and
+    // one decoded chunk per core, even for files far larger than RAM.
+    let mut workload =
+        TraceFileWorkload::open(&input, mode).unwrap_or_else(|e| usage(&format!("{input}: {e}")));
     if let Some(c) = cpi {
         workload.set_avg_cpi(c);
     }
@@ -375,6 +378,11 @@ fn replay(args: Vec<String>) {
         sim::run_feeds_with(&cfg, feeds, hb).0
     };
     let secs = started.elapsed().as_secs_f64();
+    // A chunk that could not be read after open ended its core's feed
+    // early: the run is short, so no result is reported.
+    if let Some(e) = workload.error() {
+        usage(&format!("{input}: {e}"));
+    }
 
     println!("=== replay {} under {} ===", input, mechanism.name());
     print!("{}", sim::report::render(&result));

@@ -215,6 +215,14 @@ fn help_prints_the_usage_and_exits_0() {
 }
 
 #[test]
+fn buffered_is_an_unknown_replay_argument() {
+    let o = redhip_sim(&["trace", "replay", "--in", "x.trace", "--buffered"]);
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert_eq!(o.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown argument --buffered"), "{err}");
+}
+
+#[test]
 fn largest_chunk_target_records_and_converts_without_a_signal() {
     let (dir, _) = dir_with_file("largest-chunk");
     let rec = dir.join("rec.trace");

@@ -41,7 +41,7 @@ pub const INDEX_ENTRY_BYTES: usize = 8 + 4 + 4;
 pub const TAIL_BYTES: usize = 8 + 8 + 8 + 4;
 /// v2 tail magic: "RIDX".
 pub const TAIL_MAGIC: u32 = 0x5249_4458;
-/// Default records per chunk: ~64K records ≈ 1.3 MB of decoded scratch,
+/// Default records per chunk: 65 536 records × 24 B = 1.5 MiB decoded,
 /// the bound on a streaming reader's resident memory per cursor.
 pub const DEFAULT_CHUNK_TARGET: u32 = 1 << 16;
 
@@ -348,10 +348,10 @@ pub fn parse_v2_index(tail: &V2Tail, index: &[u8]) -> Result<V2Layout, DecodeErr
     })
 }
 
-/// Decodes the bytes of one chunk (wherever they came from — a mapping, a
-/// positioned read, or an in-memory buffer) into `out`, appended,
-/// cross-checking the chunk header against its index entry. This is the
-/// one decode path; [`crate::stream::StreamTrace`] calls it.
+/// Decodes the bytes of one chunk (wherever they came from — a positioned
+/// read or an in-memory buffer) into `out`, appended, cross-checking the
+/// chunk header against its index entry. This is the one decode path;
+/// [`crate::stream::StreamTrace`] calls it.
 pub fn decode_chunk_bytes(
     bytes: &[u8],
     chunk_idx: u64,

@@ -16,9 +16,9 @@
 //! * [`codec`] — the one on-disk format (v2): chunked, delta-compressed and
 //!   seekable, written by [`codec::ChunkWriter`].
 //! * [`stream`] — [`StreamTrace`], the one reader: it checks a whole file
-//!   when it opens, then replays it chunk-at-a-time from a memory mapping or
-//!   positioned reads, with bounded resident memory and zero per-record
-//!   allocation; [`shard`] splits one trace across cores.
+//!   when it opens, then replays it chunk-at-a-time through positioned
+//!   reads, with bounded resident memory and zero per-record allocation;
+//!   [`shard`] splits one trace across cores.
 //! * [`import`] — converts externally captured Valgrind/lackey-style text
 //!   traces into v2 files.
 //! * [`stats`] — streaming trace characterization (footprint, stride

@@ -16,29 +16,29 @@
 //! interleave replay, where each shard keeps 1/8 of a chunk's records,
 //! decodes every chunk once instead of 8 times. A chunk is freed when the
 //! last cursor leaves it. Memory stays bounded: a cursor pins at most one
-//! decoded chunk (`chunk_target` records, ~1.3 MB at the default target),
-//! and cursors in lock-step share one or two in total, regardless of
+//! decoded chunk (`chunk_target` records, 1.5 MiB at the default target),
+//! the open file keeps one raw-chunk read buffer, and cursors in
+//! lock-step share one or two decoded chunks in total, regardless of
 //! trace size.
 //!
-//! The bytes come from one of three backends behind the same abstraction:
-//!
-//! * **mmap** (default on Unix) — the kernel pages chunk bytes in on
-//!   demand; decode reads straight out of the mapping, no copies.
-//! * **positioned reads** — `pread`-style `read_exact_at` into a reusable
-//!   raw buffer; no shared file cursor, so clones stay independent.
-//! * **in-memory** — an owned buffer, used by [`StreamTrace::from_bytes`]
-//!   and as the non-Unix fallback.
+//! A file is read with positioned reads (`read_exact_at`) into the open
+//! file's reused raw buffer: there is no shared file cursor, so clones
+//! stay independent, and no mapping, so resident memory does not grow
+//! with the file. [`StreamTrace::from_bytes`] serves an owned in-memory
+//! buffer through the same decode path; on non-Unix targets
+//! [`StreamTrace::open`] loads the file into one.
 //!
 //! Cloning a `StreamTrace` (or calling [`StreamTrace::shard`]) creates an
-//! independent cursor over the *same* backend and decoded-chunk table —
-//! one mapping shared by every simulated core.
+//! independent cursor over the *same* open file and decoded-chunk table,
+//! shared by every simulated core.
 //!
-//! A chunk read or decode that fails *after* open panics with context.
-//! Every payload decoded cleanly at open, so this happens only when the
-//! file is rewritten in place after it was opened or a positioned read
-//! fails; neither is recoverable mid-simulation. A mapped file that is
-//! truncated after open ends the process with `SIGBUS` at the first
-//! access past its new end instead. An in-memory trace never fails here.
+//! A chunk read or decode that fails *after* open — the file was
+//! truncated or rewritten in place — ends the failing cursor's stream
+//! and records the first such error, naming the chunk, on the open file;
+//! [`StreamTrace::error`] reports it. A consumer that needs the whole
+//! trace (a replay, a conversion, a sweep cell) checks it after the run,
+//! since a short stream is otherwise indistinguishable from a short file.
+//! An in-memory trace never fails here.
 
 use crate::codec::{
     self, ChunkMeta, TraceIoError, V2Layout, WriteSummary, HEADER_BYTES, TAIL_BYTES,
@@ -51,97 +51,12 @@ use std::fs::File;
 use std::io::Read;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError, Weak};
-
-/// Minimal raw mmap bindings. glibc is already linked through `std`, so
-/// declaring the two symbols we need avoids a dependency on the `libc`
-/// crate (this workspace is fully offline).
-#[cfg(unix)]
-mod mapping {
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-
-    extern "C" {
-        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-        fn munmap(addr: *mut u8, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// A read-only private mapping of a whole file.
-    pub struct Mmap {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    // The mapping is PROT_READ and never mutated through this handle, so
-    // sharing references across threads is sound.
-    unsafe impl Send for Mmap {}
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        /// Maps `len` bytes of `file` read-only.
-        pub fn map(file: &File, len: usize) -> io::Result<Self> {
-            if len == 0 {
-                // mmap rejects zero-length mappings; an empty file has no
-                // bytes to serve anyway.
-                return Ok(Self {
-                    ptr: std::ptr::null_mut(),
-                    len: 0,
-                });
-            }
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            // MAP_FAILED is (void*)-1.
-            if ptr as usize == usize::MAX {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Self { ptr, len })
-        }
-
-        /// The mapped bytes.
-        pub fn bytes(&self) -> &[u8] {
-            if self.len == 0 {
-                &[]
-            } else {
-                unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-            }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            if self.len != 0 {
-                unsafe {
-                    munmap(self.ptr, self.len);
-                }
-            }
-        }
-    }
-
-    impl std::fmt::Debug for Mmap {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("Mmap").field("len", &self.len).finish()
-        }
-    }
-}
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Where the file bytes come from. One abstraction so the decode path is
-/// identical for mapped, positioned-read, and in-memory backends.
+/// identical for positioned reads and in-memory buffers.
 #[derive(Debug)]
 enum Store {
-    #[cfg(unix)]
-    Mapped(mapping::Mmap),
     #[cfg(unix)]
     File {
         file: File,
@@ -154,17 +69,17 @@ impl Store {
     fn len(&self) -> u64 {
         match self {
             #[cfg(unix)]
-            Store::Mapped(m) => m.bytes().len() as u64,
-            #[cfg(unix)]
             Store::File { len, .. } => *len,
             Store::Mem(b) => b.len() as u64,
         }
     }
 
     /// Returns `len` bytes starting at `offset` — borrowed straight from
-    /// the backing buffer when one exists, read into `scratch` otherwise.
-    /// Callers guarantee the range lies within the file (the validated
-    /// layout bounds every chunk).
+    /// an in-memory buffer, read into `scratch` from a file. `scratch`
+    /// only ever grows, so steady-state reads neither allocate nor
+    /// zero-fill. Callers guarantee the range lies within the file as
+    /// opened (the validated layout bounds every chunk); a file that
+    /// shrank since gives a short read, an `Err`.
     fn read<'a>(
         &'a self,
         offset: u64,
@@ -173,14 +88,14 @@ impl Store {
     ) -> io::Result<&'a [u8]> {
         match self {
             #[cfg(unix)]
-            Store::Mapped(m) => Ok(&m.bytes()[offset as usize..offset as usize + len]),
-            #[cfg(unix)]
             Store::File { file, .. } => {
                 use std::os::unix::fs::FileExt;
-                scratch.clear();
-                scratch.resize(len, 0);
-                file.read_exact_at(scratch, offset)?;
-                Ok(&scratch[..])
+                if scratch.len() < len {
+                    scratch.resize(len, 0);
+                }
+                let buf = &mut scratch[..len];
+                file.read_exact_at(buf, offset)?;
+                Ok(buf)
             }
             Store::Mem(b) => Ok(&b[offset as usize..offset as usize + len]),
         }
@@ -188,8 +103,6 @@ impl Store {
 
     fn backend(&self) -> &'static str {
         match self {
-            #[cfg(unix)]
-            Store::Mapped(_) => "mmap",
             #[cfg(unix)]
             Store::File { .. } => "pread",
             Store::Mem(_) => "mem",
@@ -213,6 +126,8 @@ struct TraceInner {
     path: Option<PathBuf>,
     /// Locked once per chunk crossing, never per record.
     chunks: Mutex<ChunkTable>,
+    /// The first chunk read or decode that failed after open.
+    error: OnceLock<TraceIoError>,
 }
 
 /// Decoded chunks by index, plus the decode scratch. It holds only
@@ -223,7 +138,7 @@ struct TraceInner {
 struct ChunkTable {
     /// One entry per chunk; upgrades while some cursor holds the chunk.
     live: Vec<Weak<Vec<TraceRecord>>>,
-    /// Raw-byte scratch for the positioned-read backend.
+    /// Raw-byte scratch for positioned reads.
     raw: Vec<u8>,
     /// Chunk decodes performed for this file.
     #[cfg(test)]
@@ -281,48 +196,22 @@ pub struct StreamTrace {
 }
 
 impl StreamTrace {
-    /// Opens `path`, preferring a memory mapping and falling back to
-    /// positioned reads (e.g. when the file lives on a filesystem that
-    /// refuses mmap).
+    /// Opens `path` and checks every chunk of it (see the module docs).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceIoError> {
         let path = path.as_ref();
         let file = File::open(path)?;
-        let len = file.metadata()?.len();
         #[cfg(unix)]
-        {
-            let store = match mapping::Mmap::map(&file, len as usize) {
-                Ok(m) => Store::Mapped(m),
-                Err(_) => Store::File { file, len },
-            };
-            Self::from_store(store, Some(path.to_path_buf()))
-        }
+        let store = Store::File {
+            len: file.metadata()?.len(),
+            file,
+        };
         #[cfg(not(unix))]
-        {
-            drop(len);
+        let store = {
             let mut buf = Vec::new();
             (&file).read_to_end(&mut buf)?;
-            Self::from_store(Store::Mem(buf), Some(path.to_path_buf()))
-        }
-    }
-
-    /// Opens `path` with the positioned-read backend (no mapping), the
-    /// bounded-memory path for files larger than address space comfort or
-    /// for explicitly avoiding page-cache mappings. On non-Unix targets
-    /// this loads the file into memory.
-    pub fn open_buffered(path: impl AsRef<Path>) -> Result<Self, TraceIoError> {
-        let path = path.as_ref();
-        let file = File::open(path)?;
-        #[cfg(unix)]
-        {
-            let len = file.metadata()?.len();
-            Self::from_store(Store::File { file, len }, Some(path.to_path_buf()))
-        }
-        #[cfg(not(unix))]
-        {
-            let mut buf = Vec::new();
-            (&file).read_to_end(&mut buf)?;
-            Self::from_store(Store::Mem(buf), Some(path.to_path_buf()))
-        }
+            Store::Mem(buf)
+        };
+        Self::from_store(store, Some(path.to_path_buf()))
     }
 
     /// Wraps an in-memory v2 buffer (tests, benches, pipes).
@@ -344,6 +233,7 @@ impl StreamTrace {
             cum,
             path,
             chunks,
+            error: OnceLock::new(),
         });
         Ok(Self::cursor(inner, ShardSpec::All))
     }
@@ -363,8 +253,8 @@ impl StreamTrace {
     }
 
     /// A fresh cursor over the same open file restricted to `spec`'s
-    /// window. The backend (mapping or file handle) and the decoded
-    /// chunks are shared; the read position is per-cursor.
+    /// window. The file handle and the decoded chunks are shared; the
+    /// read position is per-cursor.
     pub fn shard(&self, spec: ShardSpec) -> StreamTrace {
         Self::cursor(Arc::clone(&self.inner), spec)
     }
@@ -400,9 +290,16 @@ impl StreamTrace {
         }
     }
 
-    /// Which backend serves the bytes: `"mmap"`, `"pread"`, or `"mem"`.
+    /// Which backend serves the bytes: `"pread"` (a file) or `"mem"`.
     pub fn backend(&self) -> &'static str {
         self.inner.store.backend()
+    }
+
+    /// The first chunk read or decode that failed after open, on any
+    /// cursor over this file; `None` while every read has succeeded.
+    /// A cursor that hits such a failure ends its stream early.
+    pub fn error(&self) -> Option<&TraceIoError> {
+        self.inner.error.get()
     }
 
     /// The file path, when opened from one.
@@ -419,9 +316,11 @@ impl StreamTrace {
 
     /// Points this cursor at the chunk containing global record `g`,
     /// reusing another cursor's decode when one is live and decoding (then
-    /// publishing) it otherwise. `g` must be `< total_records`.
+    /// publishing) it otherwise. `g` must be `< total_records`. Returns
+    /// false, with the cursor ended and the error recorded, when the
+    /// chunk cannot be read or decoded.
     #[cold]
-    fn load_chunk_containing(&mut self, g: u64) {
+    fn load_chunk_containing(&mut self, g: u64) -> bool {
         let inner = &*self.inner;
         // Last chunk whose start is <= g; duplicate starts (empty chunks)
         // resolve to the last, i.e. the one actually containing g.
@@ -433,14 +332,22 @@ impl StreamTrace {
         let chunk = match table.live[idx].upgrade() {
             Some(chunk) => chunk,
             None => {
-                let meta: &ChunkMeta = &inner.layout.chunks[idx];
-                let bytes = inner
-                    .store
-                    .read(meta.offset, meta.bytes as usize, &mut table.raw)
-                    .unwrap_or_else(|e| panic!("trace chunk {idx} read failed: {e}"));
                 let mut decoded = Vec::new();
-                codec::decode_chunk_bytes(bytes, idx as u64, meta, &mut decoded)
-                    .unwrap_or_else(|e| panic!("trace chunk {idx} changed after open: {e}"));
+                let table = &mut *table;
+                let read = decode_chunk_into(
+                    &inner.store,
+                    &inner.layout,
+                    idx,
+                    &mut table.raw,
+                    &mut decoded,
+                );
+                if let Err(e) = read {
+                    // Only the first failure is kept; later ones repeat it.
+                    let _ = inner.error.set(e);
+                    self.end = self.next_global;
+                    self.decoded = Chunk::default();
+                    return false;
+                }
                 metrics::TRACE_CHUNKS_DECODED.incr();
                 #[cfg(test)]
                 {
@@ -457,6 +364,7 @@ impl StreamTrace {
         self.decoded = chunk;
         self.base = inner.cum[idx];
         debug_assert!(g >= self.base && g < self.base + self.decoded.len() as u64);
+        true
     }
 
     /// True when the chunk holding `g` is already decoded.
@@ -483,8 +391,8 @@ impl Iterator for StreamTrace {
         if g >= self.end {
             return None;
         }
-        if !self.resident(g) {
-            self.load_chunk_containing(g);
+        if !self.resident(g) && !self.load_chunk_containing(g) {
+            return None;
         }
         let r = self.decoded[(g - self.base) as usize];
         self.next_global = g + self.stride;
@@ -515,7 +423,9 @@ impl TraceFeed for StreamTrace {
                 // The consumer outran the decoded window: this refill
                 // stalls on a chunk read + decode (or a shared-table hit).
                 metrics::TRACE_REFILL_STALLS.incr();
-                self.load_chunk_containing(g);
+                if !self.load_chunk_containing(g) {
+                    break;
+                }
             }
             let stride = self.stride as usize;
             let run = &self.decoded[(g - self.base) as usize..];
@@ -561,15 +471,30 @@ fn load_layout(store: &Store) -> Result<V2Layout, TraceIoError> {
     Ok(layout)
 }
 
+/// Reads chunk `idx` through `raw` and decodes it into `out` (appended).
+/// A failed read names the chunk, as a failed decode already does.
+fn decode_chunk_into(
+    store: &Store,
+    layout: &V2Layout,
+    idx: usize,
+    raw: &mut Vec<u8>,
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), TraceIoError> {
+    let meta: &ChunkMeta = &layout.chunks[idx];
+    let bytes = store
+        .read(meta.offset, meta.bytes as usize, raw)
+        .map_err(|e| io::Error::new(e.kind(), format!("reading chunk {idx}: {e}")))?;
+    Ok(codec::decode_chunk_bytes(bytes, idx as u64, meta, out)?)
+}
+
 /// Decodes every chunk once, through one reused scratch buffer, so that a
-/// damaged payload is an error at open instead of a panic mid-replay.
+/// damaged payload is an error at open instead of a short replay.
 fn check_payloads(store: &Store, layout: &V2Layout) -> Result<(), TraceIoError> {
     let mut raw = Vec::new();
     let mut scratch = Vec::new();
-    for (idx, meta) in layout.chunks.iter().enumerate() {
-        let bytes = store.read(meta.offset, meta.bytes as usize, &mut raw)?;
+    for idx in 0..layout.chunks.len() {
         scratch.clear();
-        codec::decode_chunk_bytes(bytes, idx as u64, meta, &mut scratch)?;
+        decode_chunk_into(store, layout, idx, &mut raw, &mut scratch)?;
     }
     Ok(())
 }
@@ -646,19 +571,18 @@ mod tests {
     }
 
     #[test]
-    fn streams_from_file_with_both_backends() {
+    fn streams_from_file_like_from_memory() {
         let t = random_trace(2, 5000);
-        let tmp = TempPath::new("backends");
+        let tmp = TempPath::new("file");
         write_v2_file(&tmp.0, t.iter().copied(), 512).unwrap();
-        for s in [
-            StreamTrace::open(&tmp.0).unwrap(),
-            StreamTrace::open_buffered(&tmp.0).unwrap(),
-        ] {
-            assert_eq!(s.total_records(), 5000);
-            let backend = s.backend();
-            let back: Vec<_> = s.collect();
-            assert_eq!(back, t, "backend {backend}");
-        }
+        let s = StreamTrace::open(&tmp.0).unwrap();
+        assert_eq!(s.total_records(), 5000);
+        #[cfg(unix)]
+        assert_eq!(s.backend(), "pread");
+        let mem = StreamTrace::from_bytes(std::fs::read(&tmp.0).unwrap()).unwrap();
+        assert_eq!(mem.backend(), "mem");
+        assert_eq!(s.clone().collect::<Vec<_>>(), t);
+        assert_eq!(drain(s), drain(mem));
     }
 
     #[test]
@@ -823,11 +747,7 @@ mod tests {
         buf[mid..mid + 40].iter_mut().for_each(|b| *b = !*b);
         let tmp = TempPath::new("damaged");
         std::fs::write(&tmp.0, &buf).unwrap();
-        for opened in [
-            StreamTrace::from_bytes(buf),
-            StreamTrace::open(&tmp.0),
-            StreamTrace::open_buffered(&tmp.0),
-        ] {
+        for opened in [StreamTrace::from_bytes(buf), StreamTrace::open(&tmp.0)] {
             match opened {
                 Err(TraceIoError::Decode(e @ DecodeError::BadChunk { chunk: 2, .. })) => {
                     assert!(e.to_string().contains("chunk 2"), "{e}");
@@ -955,11 +875,68 @@ mod tests {
         let tmp = TempPath::new("oversized-count");
         std::fs::write(&tmp.0, &buf).unwrap();
         assert!(StreamTrace::open(&tmp.0).is_err());
-        assert!(StreamTrace::open_buffered(&tmp.0).is_err());
         assert!(matches!(
             StreamTrace::from_bytes(buf),
             Err(TraceIoError::Decode(DecodeError::BadFooter { .. }))
         ));
+    }
+
+    /// A 100 000-record file at 4096 records per chunk, opened, then cut
+    /// to half its length: the reads of the second half come up short.
+    #[cfg(unix)]
+    fn halved_after_open(tag: &str) -> (TempPath, StreamTrace, Vec<TraceRecord>) {
+        let t = random_trace(14, 100_000);
+        let tmp = TempPath::new(tag);
+        write_v2_file(&tmp.0, t.iter().copied(), 4096).unwrap();
+        let s = StreamTrace::open(&tmp.0).unwrap();
+        let len = std::fs::metadata(&tmp.0).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&tmp.0)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        (tmp, s, t)
+    }
+
+    /// The stream a cursor over a halved file served: a prefix of the
+    /// records, cut at a chunk boundary, with the first failed chunk
+    /// named in the file's error.
+    #[cfg(unix)]
+    fn assert_cut_short(s: &StreamTrace, got: &[TraceRecord], t: &[TraceRecord]) {
+        assert!(
+            got.len() < t.len() && !got.is_empty(),
+            "{} records",
+            got.len()
+        );
+        assert_eq!(got, &t[..got.len()]);
+        assert_eq!(got.len() % 4096, 0, "stopped inside a chunk");
+        let chunk = got.len() / 4096;
+        let err = s.error().expect("the failed read is recorded").to_string();
+        assert!(err.contains(&format!("chunk {chunk}")), "{err}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn file_truncated_after_open_ends_the_stream_with_an_error() {
+        // By iteration.
+        let (_tmp, s, t) = halved_after_open("cut-iter");
+        assert!(s.error().is_none());
+        let mut cursor = s.clone();
+        let got: Vec<_> = cursor.by_ref().collect();
+        assert_eq!(cursor.remaining(), 0);
+        assert_eq!(cursor.next(), None, "an ended cursor stays ended");
+        assert_cut_short(&s, &got, &t);
+
+        // By refill, on a fresh open of another halved file.
+        let (_tmp, s, t) = halved_after_open("cut-refill");
+        let got = drain(s.clone());
+        assert_cut_short(&s, &got, &t);
+        // A later failure on another cursor keeps the first error.
+        let first = s.error().unwrap().to_string();
+        let again = drain(s.shard(interleave(2, 1)));
+        assert!(again.len() < t.len() / 2);
+        assert_eq!(s.error().unwrap().to_string(), first);
     }
 
     #[test]

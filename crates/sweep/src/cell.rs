@@ -24,7 +24,7 @@ pub enum CellSource {
         scale: Scale,
     },
     /// A recorded v2 trace file, replayed with bounded memory; the `Arc`
-    /// shares one mapping across every cell and worker thread using it.
+    /// shares one open file across every cell and worker thread using it.
     File(Arc<TraceFileWorkload>),
 }
 

@@ -1,7 +1,7 @@
 //! The sweep engine: dedup, cost-aware scheduling, deterministic merge.
 
 use crate::cache::ResultCache;
-use crate::cell::CellSpec;
+use crate::cell::{CellSource, CellSpec};
 use sim::{RunResult, SimConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,7 +37,7 @@ impl SweepPlan {
     }
 
     /// Requests one (config × trace file) cell — the file-backed analogue
-    /// of [`cell`](Self::cell). The `Arc` shares one open mapping across
+    /// of [`cell`](Self::cell). The `Arc` shares one open file across
     /// every cell replaying the same file.
     pub fn cell_file(
         &mut self,
@@ -156,8 +156,9 @@ impl SweepResults {
     }
 }
 
-/// A sweep failed before any cell ran: a planned cell has an invalid
-/// config. A panicking cell is a bug, not an error; it propagates out of
+/// A sweep failed: a planned cell has an invalid config (found before
+/// any cell runs), or a cell's trace file could not be read mid-run. A
+/// panicking cell is a bug, not an error; it propagates out of
 /// [`SweepEngine::run`].
 #[derive(Debug, Clone)]
 pub struct SweepError {
@@ -172,6 +173,16 @@ impl std::fmt::Display for SweepError {
 }
 
 impl std::error::Error for SweepError {}
+
+impl SweepError {
+    /// An error about cell `id`, naming its mechanism and workload.
+    fn cell(id: CellId, spec: &CellSpec, cause: impl std::fmt::Display) -> Self {
+        let m = spec.manifest();
+        SweepError {
+            message: format!("cell {id} ({} on {}): {cause}", m.mechanism, m.workload),
+        }
+    }
+}
 
 /// Resolves the worker count: explicit override, else `REDHIP_JOBS`, else
 /// all host cores.
@@ -232,7 +243,10 @@ impl SweepEngine {
 
     /// Runs every cell of `plan` (cache hits excepted) and returns the
     /// deterministically merged results. A cell whose config fails
-    /// [`SimConfig::validate`] is an error before any cell runs.
+    /// [`SimConfig::validate`] is an error before any cell runs. A file
+    /// cell whose trace could not be read in full ran short: it is an
+    /// error after the sweep (the lowest such cell id is named), and its
+    /// result is never cached.
     ///
     /// Scheduling is cost-aware: `min(jobs, misses)` workers, the calling
     /// thread among them, claim cells from one shared cursor over the
@@ -240,15 +254,9 @@ impl SweepEngine {
     /// tail of the sweep is short cells, not one late-started straggler.
     pub fn run(&self, plan: &SweepPlan, label: &str) -> Result<SweepResults, SweepError> {
         for (id, spec) in plan.cells.iter().enumerate() {
-            spec.cfg.validate().map_err(|e| {
-                let m = spec.manifest();
-                SweepError {
-                    message: format!(
-                        "cell {id} ({} on {}): invalid SimConfig: {e}",
-                        m.mechanism, m.workload
-                    ),
-                }
-            })?;
+            spec.cfg
+                .validate()
+                .map_err(|e| SweepError::cell(id, spec, format!("invalid SimConfig: {e}")))?;
         }
         let started = Instant::now();
         let n = plan.cells.len();
@@ -258,9 +266,7 @@ impl SweepEngine {
         let mut slots: Vec<OnceLock<RunResult>> = Vec::with_capacity(n);
         let mut to_run: Vec<CellId> = Vec::new();
         for (id, spec) in plan.cells.iter().enumerate() {
-            let cached = self
-                .cache
-                .lookup(&spec.canonical_key(), spec.content_hash());
+            let cached = self.cache.lookup(spec);
             if cached.is_none() {
                 to_run.push(id);
             }
@@ -277,6 +283,8 @@ impl SweepEngine {
         let simulated = to_run.len() as u64;
         metrics::SWEEP_CELLS_SIMULATED.add(simulated);
         let _sim_span = metrics::PHASE_SIMULATE.start();
+        // The lowest-id cell whose trace file came up short, if any.
+        let failed: Mutex<Option<(CellId, SweepError)>> = Mutex::new(None);
         if !to_run.is_empty() {
             let mut heart = telemetry::Heartbeat::new(label, "cells", simulated);
             if self.quiet {
@@ -292,16 +300,22 @@ impl SweepEngine {
                     let spec = &plan.cells[id];
                     let busy = metrics::enabled().then(Instant::now);
                     let result = spec.simulate();
-                    self.cache.store(
-                        &spec.canonical_key(),
-                        spec.content_hash(),
-                        &result,
-                        Some(&spec.manifest()),
-                    );
+                    let short = match &spec.source {
+                        CellSource::File(w) => w.error(),
+                        CellSource::Synth { .. } => None,
+                    };
+                    if let Some(e) = short {
+                        let mut failed = failed.lock().expect("failure slot poisoned");
+                        if failed.as_ref().is_none_or(|(first, _)| id < *first) {
+                            *failed = Some((id, SweepError::cell(id, spec, e)));
+                        }
+                    } else {
+                        self.cache.store(spec, &result);
+                        assert!(slots[id].set(result).is_ok(), "cell {id} ran twice");
+                    }
                     if let Some(t0) = busy {
                         metrics::POOL_BUSY_NS.add(t0.elapsed().as_nanos() as u64);
                     }
-                    assert!(slots[id].set(result).is_ok(), "cell {id} ran twice");
                     heart.lock().expect("heartbeat poisoned").add(1);
                 }
             };
@@ -314,6 +328,9 @@ impl SweepEngine {
                 worker();
             });
             heart.into_inner().expect("heartbeat poisoned").finish();
+        }
+        if let Some((_, e)) = failed.into_inner().expect("failure slot poisoned") {
+            return Err(e);
         }
 
         let results: Vec<RunResult> = slots
@@ -481,6 +498,39 @@ mod tests {
         assert_eq!(r.stats.simulated, 1);
         assert_eq!(r.get(id).total_refs(), r.stats.refs_simulated);
         assert!(r.stats.refs_simulated > 0);
+    }
+
+    #[test]
+    fn file_cell_cut_short_is_an_error_naming_the_cell_and_not_cached() {
+        use mem_trace::record::TraceRecord;
+        let path =
+            std::env::temp_dir().join(format!("redhip-engine-cut-{}.trace", std::process::id()));
+        let t = (0..80_000u64).map(|i| TraceRecord::load(0x400 + i % 9, (i * 2897) % (1 << 22)));
+        mem_trace::stream::write_v2_file(&path, t, 1024).unwrap();
+        let w = std::sync::Arc::new(
+            workloads::TraceFileWorkload::from_spec(&format!("file:{}:interleave", path.display()))
+                .unwrap(),
+        );
+        // The file shrinks after it was opened and checked.
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        let mut p = smoke_plan();
+        let file_cell = p.cell_file(&cfg(Mechanism::Redhip, 10_000), &w);
+        let engine = SweepEngine::new(2).quiet();
+        let err = engine.run(&p, "t").unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("cell {file_cell} (ReDHiP on file:")),
+            "{err}"
+        );
+        assert!(err.contains("reading chunk"), "{err}");
+        // The short result was not cached: asking again misses.
+        assert!(engine.cache().lookup(&p.cells()[file_cell]).is_none());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

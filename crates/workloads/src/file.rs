@@ -76,9 +76,9 @@ impl FileMode {
 }
 
 /// An open trace file registered as a workload. Cheap to share: the
-/// cursors handed to cores share one underlying mapping and each decoded
-/// chunk, so cores (or concurrent sweep cells) replaying the file
-/// together decode each chunk once.
+/// cursors handed to cores share one file handle and each decoded chunk,
+/// so cores (or concurrent sweep cells) replaying the file together
+/// decode each chunk once.
 #[derive(Debug)]
 pub struct TraceFileWorkload {
     base: StreamTrace,
@@ -95,18 +95,6 @@ impl TraceFileWorkload {
         let path = path.as_ref();
         Ok(Self {
             base: StreamTrace::open(path)?,
-            mode,
-            avg_cpi: DEFAULT_FILE_CPI,
-            spec_path: path.display().to_string(),
-        })
-    }
-
-    /// Like [`open`](Self::open) but with positioned reads instead of
-    /// mmap — same records, bounded resident memory without a mapping.
-    pub fn open_buffered(path: impl AsRef<Path>, mode: FileMode) -> Result<Self, TraceIoError> {
-        let path = path.as_ref();
-        Ok(Self {
-            base: StreamTrace::open_buffered(path)?,
             mode,
             avg_cpi: DEFAULT_FILE_CPI,
             spec_path: path.display().to_string(),
@@ -153,6 +141,13 @@ impl TraceFileWorkload {
     /// Total records in the file.
     pub fn total_records(&self) -> u64 {
         self.base.total_records()
+    }
+
+    /// The first read failure of any cursor since open
+    /// ([`StreamTrace::error`]): when set, some core's feed ended early
+    /// and a run over this file is short.
+    pub fn error(&self) -> Option<&TraceIoError> {
+        self.base.error()
     }
 
     /// File-level summary (chunks, sizes).

@@ -78,29 +78,54 @@ fn replay_matches_synthesis_for_every_mechanism() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Replays `base`'s interleave shards, one per core, under `cfg`.
+fn replay_interleaved(cfg: &SimConfig, base: &StreamTrace) -> String {
+    let cores = cfg.platform.cores as u32;
+    let feeds: Vec<CoreFeed> = (0..cores)
+        .map(|index| {
+            Box::new(base.shard(ShardSpec::Interleave {
+                shards: cores,
+                index,
+            })) as CoreFeed
+        })
+        .collect();
+    run_feeds(cfg, feeds).to_json().pretty()
+}
+
 #[test]
-fn replay_is_identical_across_backends_and_chunk_sizes() {
+fn replay_is_identical_across_chunk_sizes() {
     let cores = config(Mechanism::Redhip).platform.cores;
     let cfg = config(Mechanism::Redhip);
     let mut reference = None;
     for (tag, chunk) in [("small", 512u32), ("large", 1 << 15)] {
         let path = temp_path(tag);
         record_interleaved(&path, Benchmark::Soplex, cores, chunk);
-        for workload in [
-            TraceFileWorkload::open(&path, FileMode::Interleave).unwrap(),
-            TraceFileWorkload::open_buffered(&path, FileMode::Interleave).unwrap(),
-        ] {
-            let feeds: Vec<CoreFeed> = (0..cores)
-                .map(|c| Box::new(workload.feed(c, cores)) as CoreFeed)
-                .collect();
-            let got = run_feeds(&cfg, feeds).to_json().pretty();
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => assert_eq!(want, &got, "chunk {chunk}"),
-            }
+        let workload = TraceFileWorkload::open(&path, FileMode::Interleave).unwrap();
+        let feeds: Vec<CoreFeed> = (0..cores)
+            .map(|c| Box::new(workload.feed(c, cores)) as CoreFeed)
+            .collect();
+        let got = run_feeds(&cfg, feeds).to_json().pretty();
+        match &reference {
+            None => reference = Some(got),
+            Some(want) => assert_eq!(want, &got, "chunk {chunk}"),
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+#[test]
+fn file_replay_matches_in_memory_replay() {
+    let cfg = config(Mechanism::Redhip);
+    let path = temp_path("file-vs-mem");
+    record_interleaved(&path, Benchmark::Soplex, cfg.platform.cores, 1 << 11);
+    let file = StreamTrace::open(&path).unwrap();
+    let mem = StreamTrace::from_bytes(std::fs::read(&path).unwrap()).unwrap();
+    assert_eq!(
+        replay_interleaved(&cfg, &file),
+        replay_interleaved(&cfg, &mem)
+    );
+    assert!(file.error().is_none());
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -140,7 +165,7 @@ fn streaming_keeps_resident_window_bounded() {
     let source = (0..records).map(|i| TraceRecord::load(0x400 + i % 17, (i * 4093) % (1 << 30)));
     write_v2_file(&path, source, chunk).unwrap();
 
-    let mut cursor = StreamTrace::open_buffered(&path).unwrap();
+    let mut cursor = StreamTrace::open(&path).unwrap();
     let mut seen = 0u64;
     while cursor.next().is_some() {
         seen += 1;
