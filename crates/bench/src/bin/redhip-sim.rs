@@ -3,7 +3,7 @@
 //! [`USAGE`] documents the flags, and `redhip-sim --help` prints it; the
 //! `trace` subcommands are documented in [`bench::tracecli::USAGE`].
 
-use bench::harness::{mechanism_config, run_workload, run_workload_with, FigureScale};
+use bench::harness::{mechanism_config, FigureScale};
 use cache_sim::InclusionPolicy;
 use minijson::ToJson;
 use sim::{Comparison, Heartbeat, HeartbeatObserver, Mechanism, RunResult, Tee, WindowedCollector};
@@ -189,6 +189,9 @@ fn main() {
     if let Err(e) = cfg.validate() {
         usage(&e);
     }
+    // The one cell this run simulates; its manifest is the `--metrics`
+    // run manifest.
+    let cell = sweep::CellSpec::new(&cfg, benchmark, scale.workload_scale());
 
     eprintln!(
         "[redhip-sim] {} / {} / {:?} / {:?} scale, {} refs/core ...",
@@ -212,7 +215,7 @@ fn main() {
     let result: RunResult = if let Some(path) = &telemetry_path {
         let collector = WindowedCollector::new(window, cfg.platform.levels.len());
         let obs = Tee::new(collector, heartbeat());
-        let (result, obs) = run_workload_with(&cfg, benchmark, scale, obs);
+        let (result, obs) = cell.simulate_with(obs);
         write_or_exit(path, obs.a.to_jsonl());
         eprintln!(
             "[redhip-sim] wrote {path} ({} windows, {} recalibration markers)",
@@ -221,9 +224,9 @@ fn main() {
         );
         result
     } else if quiet {
-        run_workload(&cfg, benchmark, scale)
+        cell.simulate()
     } else {
-        run_workload_with(&cfg, benchmark, scale, heartbeat()).0
+        cell.simulate_with(heartbeat()).0
     };
 
     drop(sim_span);
@@ -232,10 +235,10 @@ fn main() {
     print!("{}", sim::report::render(&result));
 
     if compare && mechanism != Mechanism::Base {
-        let mut base_cfg = cfg.clone();
-        base_cfg.mechanism = Mechanism::Base;
-        base_cfg.prefetch = None;
-        let base = run_workload(&base_cfg, benchmark, scale);
+        let mut base = cell.clone();
+        base.cfg.mechanism = Mechanism::Base;
+        base.cfg.prefetch = None;
+        let base = base.simulate();
         let c = Comparison::new(&base, &result);
         println!("\n=== vs Base ===");
         println!("speedup              : {:+.2}%", c.speedup() * 100.0);
@@ -250,9 +253,7 @@ fn main() {
     }
 
     if let Some(path) = metrics_path {
-        // The run manifest reuses the sweep cell's canonical identity for
-        // this (config x benchmark x scale).
-        let manifest = sweep::CellSpec::new(&cfg, benchmark, scale.workload_scale()).manifest();
+        let manifest = cell.manifest();
         let mut out = metrics::snapshot_jsonl();
         out.push_str(&manifest.to_json_with_phases().dump());
         out.push('\n');

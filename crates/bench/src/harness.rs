@@ -6,7 +6,7 @@
 
 use energy_model::presets::{demo_scale, table_i};
 use energy_model::PlatformSpec;
-use sim::{run_traces, run_traces_with, Mechanism, RunResult, SimConfig, SimObserver};
+use sim::{Mechanism, RunResult, SimConfig};
 use workloads::{Benchmark, Scale};
 
 /// Which platform/workload scale an experiment runs at.
@@ -67,33 +67,12 @@ pub fn mechanism_config(scale: FigureScale, mechanism: Mechanism, refs: usize) -
     cfg
 }
 
-/// Runs one workload under `cfg`: one generator per core (each core of
-/// `mix`/`blas`/`pmf` differs by construction; the SPEC benchmarks are the
-/// paper's duplicated-trace setup with per-core seeds).
+/// Runs one workload under `cfg` as a [`sweep::CellSpec`]: one generator
+/// per core (each core of `mix`/`blas`/`pmf` differs by construction; the
+/// SPEC benchmarks are the paper's duplicated-trace setup with per-core
+/// seeds).
 pub fn run_workload(cfg: &SimConfig, benchmark: Benchmark, scale: FigureScale) -> RunResult {
-    let mut cfg = cfg.clone();
-    cfg.avg_cpi = benchmark.avg_cpi();
-    let ws = scale.workload_scale();
-    let traces = (0..cfg.platform.cores)
-        .map(|core| benchmark.trace(core, ws))
-        .collect();
-    run_traces(&cfg, traces)
-}
-
-/// Like [`run_workload`], but reports telemetry to `obs` while running.
-pub fn run_workload_with<O: SimObserver>(
-    cfg: &SimConfig,
-    benchmark: Benchmark,
-    scale: FigureScale,
-    obs: O,
-) -> (RunResult, O) {
-    let mut cfg = cfg.clone();
-    cfg.avg_cpi = benchmark.avg_cpi();
-    let ws = scale.workload_scale();
-    let traces = (0..cfg.platform.cores)
-        .map(|core| benchmark.trace(core, ws))
-        .collect();
-    run_traces_with(&cfg, traces, obs)
+    sweep::CellSpec::new(cfg, benchmark, scale.workload_scale()).simulate()
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! The `redhip-sim` binary's exits: a path it cannot write exits 1 and a
 //! malformed trace file exits 2, each with a message naming the path,
-//! never by a signal. An extreme but valid `--chunk` is no error, and
-//! `--help` prints the usage and exits 0.
+//! never by a signal. An extreme but valid `--chunk` is no error, a
+//! way-memo larger than the LLC exits 2, and `--help` prints the usage
+//! and exits 0.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -260,4 +261,14 @@ fn largest_chunk_target_records_and_converts_without_a_signal() {
     let info = String::from_utf8_lossy(&o.stdout);
     assert!(info.contains("\"records\": 200"), "{info}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn way_memo_larger_than_the_llc_exits_2_naming_entries() {
+    let o = smoke_run(&["--mechanism", "way-memo:entries=4294967295"]);
+    let err = String::from_utf8_lossy(&o.stderr);
+    // `code()` is None when a signal (abort) ended the process.
+    assert_eq!(o.status.code(), Some(2), "{err}");
+    assert!(err.contains("error: way-memo entries"), "{err}");
+    assert!(err.contains("entries=4294967295"), "{err}");
 }

@@ -5,7 +5,7 @@
 //! scratch:
 //!
 //! * [`geometry::BlockGeometry`] — address ↔ (tag, set, offset) math.
-//! * [`replacement`] — LRU, tree-PLRU, FIFO, random, and SRRIP policies.
+//! * [`replacement`] — LRU, tree-PLRU, random, and SRRIP policies.
 //! * [`cache::Cache`] — one set-associative writeback cache with probe /
 //!   access / fill / invalidate / extract primitives and tag-array iteration
 //!   (the recalibration engine reads LLC tags through this).

@@ -14,8 +14,6 @@ pub enum ReplacementPolicy {
     Lru,
     /// Tree pseudo-LRU (requires power-of-two associativity).
     TreePlru,
-    /// First-in first-out.
-    Fifo,
     /// Uniform random (xorshift64*, deterministic per cache).
     Random,
     /// Static re-reference interval prediction, 2-bit RRPV (Jaleel et al.).
@@ -28,7 +26,6 @@ impl minijson::ToJson for ReplacementPolicy {
             match self {
                 ReplacementPolicy::Lru => "Lru",
                 ReplacementPolicy::TreePlru => "TreePlru",
-                ReplacementPolicy::Fifo => "Fifo",
                 ReplacementPolicy::Random => "Random",
                 ReplacementPolicy::Srrip => "Srrip",
             }
@@ -42,7 +39,6 @@ impl minijson::FromJson for ReplacementPolicy {
         match v.as_str() {
             Some("Lru") => Ok(ReplacementPolicy::Lru),
             Some("TreePlru") => Ok(ReplacementPolicy::TreePlru),
-            Some("Fifo") => Ok(ReplacementPolicy::Fifo),
             Some("Random") => Ok(ReplacementPolicy::Random),
             Some("Srrip") => Ok(ReplacementPolicy::Srrip),
             _ => Err(format!("not a ReplacementPolicy: {v:?}")),
@@ -54,7 +50,6 @@ impl minijson::FromJson for ReplacementPolicy {
 #[derive(Debug, Clone)]
 pub(crate) enum ReplacerState {
     TreePlru { bits: Vec<u16> },
-    Fifo { next: Vec<u8> },
     Random { state: u64 },
     Srrip { rrpv: Vec<u8> },
 }
@@ -70,9 +65,6 @@ impl ReplacerState {
             match self {
                 ReplacerState::TreePlru { bits } => {
                     _mm_prefetch(bits.as_ptr().add(set).cast::<i8>(), _MM_HINT_T0);
-                }
-                ReplacerState::Fifo { next } => {
-                    _mm_prefetch(next.as_ptr().add(set).cast::<i8>(), _MM_HINT_T0);
                 }
                 ReplacerState::Random { .. } => {}
                 ReplacerState::Srrip { rrpv } => {
@@ -96,9 +88,6 @@ impl ReplacerState {
             ReplacementPolicy::TreePlru => ReplacerState::TreePlru {
                 bits: vec![0; sets],
             },
-            ReplacementPolicy::Fifo => ReplacerState::Fifo {
-                next: vec![0; sets],
-            },
             ReplacementPolicy::Random => ReplacerState::Random {
                 state: 0x9e37_79b9_7f4a_7c15,
             },
@@ -115,7 +104,6 @@ impl ReplacerState {
             ReplacerState::TreePlru { bits } => {
                 bits[set] = plru_touch(bits[set], assoc, way);
             }
-            ReplacerState::Fifo { .. } => {}
             ReplacerState::Random { .. } => {}
             ReplacerState::Srrip { rrpv } => {
                 rrpv[set * assoc + way] = 0;
@@ -130,10 +118,6 @@ impl ReplacerState {
             ReplacerState::TreePlru { bits } => {
                 bits[set] = plru_touch(bits[set], assoc, way);
             }
-            ReplacerState::Fifo { next } => {
-                // Advance the queue pointer past the way we just filled.
-                next[set] = ((way + 1) % assoc) as u8;
-            }
             ReplacerState::Random { .. } => {}
             ReplacerState::Srrip { rrpv } => {
                 rrpv[set * assoc + way] = SRRIP_INSERT;
@@ -146,7 +130,6 @@ impl ReplacerState {
     pub(crate) fn victim(&mut self, set: usize, assoc: usize) -> usize {
         match self {
             ReplacerState::TreePlru { bits } => plru_victim(bits[set], assoc),
-            ReplacerState::Fifo { next } => next[set] as usize,
             ReplacerState::Random { state } => {
                 // xorshift64*
                 let mut x = *state;
@@ -242,18 +225,6 @@ mod tests {
         let v2 = r.victim(0, 4);
         // After touching the previous victim the new victim is in the other half.
         assert_ne!(v1 / 2, v2 / 2);
-    }
-
-    #[test]
-    fn fifo_cycles_in_order() {
-        let mut r = ReplacerState::new(ReplacementPolicy::Fifo, 1, 4).unwrap();
-        for w in 0..4 {
-            assert_eq!(r.victim(0, 4), w % 4);
-            r.on_fill(0, w, 4);
-        }
-        // Hits must not disturb FIFO order.
-        r.on_hit(0, 3, 4);
-        assert_eq!(r.victim(0, 4), 0);
     }
 
     #[test]

@@ -259,11 +259,6 @@ impl StreamTrace {
         Self::cursor(Arc::clone(&self.inner), spec)
     }
 
-    /// This cursor's shard spec.
-    pub fn shard_spec(&self) -> ShardSpec {
-        self.spec
-    }
-
     /// Total records in the file (not the shard window).
     pub fn total_records(&self) -> u64 {
         self.inner.layout.total_records

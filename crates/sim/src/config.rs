@@ -332,6 +332,18 @@ impl SimConfig {
                     ));
                 }
             }
+            (Mechanism::WayMemo, _) => {
+                // Each core's memo holds `entries` 8-byte slots.
+                let llc = self.platform.llc().capacity_bytes;
+                let entries = self.way_memo.entries;
+                if u64::from(entries) * 8 > llc {
+                    return Err(format!(
+                        "way-memo entries must fit in the {llc}-byte LLC at 8 bytes each, \
+                         at most {} (got entries={entries})",
+                        llc / 8
+                    ));
+                }
+            }
             _ => {}
         }
         if self.avg_cpi <= 0.0 {
@@ -693,6 +705,19 @@ mod tests {
         c.cbf.counter_bits = 4;
         c.cbf.num_hashes = 0;
         assert!(c.validate().unwrap_err().contains("at least 1"));
+    }
+
+    #[test]
+    fn way_memo_larger_than_the_llc_is_rejected() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::WayMemo);
+        let llc = c.platform.llc().capacity_bytes;
+        c.way_memo.entries = (llc / 8) as u32;
+        assert!(c.validate().is_ok());
+        for bad in [(llc / 8) as u32 + 1, u32::MAX] {
+            c.way_memo.entries = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(&format!("entries={bad}")), "{err}");
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! One simulation cell of a sweep: (workload × mechanism × config).
 
-use sim::{run_feeds, run_traces, CoreFeed, RunResult, SimConfig};
-use std::sync::Arc;
-use workloads::{Benchmark, Scale, TraceFileWorkload};
+use sim::{run_traces_with, NullObserver, RunResult, SimConfig, SimObserver};
+use workloads::{Benchmark, Scale};
 
 /// Stable tag for a workload scale, part of the canonical cell key.
 pub fn scale_tag(scale: Scale) -> &'static str {
@@ -23,13 +22,11 @@ pub enum CellSource {
         /// Workload footprint scale.
         scale: Scale,
     },
-    /// A recorded v2 trace file, replayed with bounded memory; the `Arc`
-    /// shares one open file across every cell and worker thread using it.
-    File(Arc<TraceFileWorkload>),
 }
 
-/// A fully-specified simulation: everything `run_workload` needs, owned,
-/// hashable, and executable on any worker thread.
+/// A fully-specified simulation: the one place a (config × benchmark ×
+/// scale) becomes a run, owned, hashable, and executable on any worker
+/// thread.
 #[derive(Debug, Clone)]
 pub struct CellSpec {
     /// Simulation configuration with `avg_cpi` already set for the
@@ -40,8 +37,7 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// Builds a synthetic-workload spec, stamping the benchmark's CPI into
-    /// the config the same way `bench::harness::run_workload` does.
+    /// Builds a spec, stamping the benchmark's CPI into the config.
     pub fn new(cfg: &SimConfig, benchmark: Benchmark, scale: Scale) -> Self {
         let mut cfg = cfg.clone();
         cfg.avg_cpi = benchmark.avg_cpi();
@@ -51,36 +47,20 @@ impl CellSpec {
         }
     }
 
-    /// Builds a file-backed spec, stamping the workload's CPI likewise.
-    pub fn file(cfg: &SimConfig, workload: Arc<TraceFileWorkload>) -> Self {
-        let mut cfg = cfg.clone();
-        cfg.avg_cpi = workload.avg_cpi();
-        Self {
-            cfg,
-            source: CellSource::File(workload),
-        }
-    }
-
     /// The canonical identity of this cell: workload, scale, and the full
     /// config serialization. Two cells with equal keys produce
     /// byte-identical results, so the key is what the dedup map and the
-    /// result cache are keyed by. Synthetic keys keep their historical
-    /// `name|scale|cfg` format (on-disk caches stay valid); file cells key
-    /// on the file's identity tag, which covers path, shard mode, and the
-    /// file's record/byte counts so a rewritten file misses the cache.
+    /// result cache are keyed by. The `name|scale|cfg` format is
+    /// historical, so on-disk caches stay valid.
     pub fn canonical_key(&self) -> String {
         use minijson::ToJson;
-        match &self.source {
-            CellSource::Synth { benchmark, scale } => format!(
-                "{}|{}|{}",
-                benchmark.name(),
-                scale_tag(*scale),
-                self.cfg.to_json().dump()
-            ),
-            CellSource::File(w) => {
-                format!("{}|{}", w.identity_tag(), self.cfg.to_json().dump())
-            }
-        }
+        let CellSource::Synth { benchmark, scale } = self.source;
+        format!(
+            "{}|{}|{}",
+            benchmark.name(),
+            scale_tag(scale),
+            self.cfg.to_json().dump()
+        )
     }
 
     /// 64-bit FNV-1a of the canonical key — the on-disk cache file name.
@@ -95,18 +75,12 @@ impl CellSpec {
     /// from the cell's identity alone (never from job counts or wall
     /// clocks), so entries stay byte-identical across schedulers.
     pub fn manifest(&self) -> metrics::RunManifest {
-        let (workload, seed) = match &self.source {
-            CellSource::Synth { benchmark, scale } => (
-                benchmark.name().to_string(),
-                format!("synth(core,{})", scale_tag(*scale)),
-            ),
-            CellSource::File(w) => (w.identity_tag(), "trace-file".to_string()),
-        };
+        let CellSource::Synth { benchmark, scale } = self.source;
         metrics::RunManifest {
             mechanism: self.cfg.mechanism.name().to_string(),
             predictor_spec: sim::predictor::spec_string(&self.cfg),
-            workload,
-            seed,
+            workload: benchmark.name().to_string(),
+            seed: format!("synth(core,{})", scale_tag(scale)),
             config_hash: self.content_hash(),
         }
     }
@@ -119,24 +93,19 @@ impl CellSpec {
     }
 
     /// Runs the cell to completion on the calling thread. Deterministic:
-    /// synthetic generators are seeded from (core, scale) only, and files
-    /// replay fixed bytes.
+    /// the generators are seeded from (core, scale) only.
     pub fn simulate(&self) -> RunResult {
-        let cores = self.cfg.platform.cores;
-        match &self.source {
-            CellSource::Synth { benchmark, scale } => {
-                let traces = (0..cores)
-                    .map(|core| benchmark.trace(core, *scale))
-                    .collect();
-                run_traces(&self.cfg, traces)
-            }
-            CellSource::File(w) => {
-                let feeds = (0..cores)
-                    .map(|core| Box::new(w.feed(core, cores)) as CoreFeed)
-                    .collect();
-                run_feeds(&self.cfg, feeds)
-            }
-        }
+        self.simulate_with(NullObserver).0
+    }
+
+    /// Like [`simulate`](Self::simulate), but reports telemetry to `obs`
+    /// while running and returns it alongside the result.
+    pub fn simulate_with<O: SimObserver>(&self, obs: O) -> (RunResult, O) {
+        let CellSource::Synth { benchmark, scale } = self.source;
+        let traces = (0..self.cfg.platform.cores)
+            .map(|core| benchmark.trace(core, scale))
+            .collect();
+        run_traces_with(&self.cfg, traces, obs)
     }
 }
 
@@ -227,39 +196,6 @@ mod tests {
             "{}",
             spec.canonical_key()
         );
-    }
-
-    #[test]
-    fn file_cells_key_dedup_and_simulate_deterministically() {
-        use mem_trace::record::TraceRecord;
-        use minijson::ToJson;
-        let path =
-            std::env::temp_dir().join(format!("redhip-sweepcell-{}.trace", std::process::id()));
-        let t = (0..4000u64).map(|i| TraceRecord::load(0x400 + i % 9, (i * 2897) % (1 << 22)));
-        mem_trace::stream::write_v2_file(&path, t, 256).unwrap();
-        let w = std::sync::Arc::new(
-            workloads::TraceFileWorkload::from_spec(&format!("file:{}:interleave", path.display()))
-                .unwrap(),
-        );
-        let cfg = demo_cfg(Mechanism::Redhip);
-        let a = CellSpec::file(&cfg, Arc::clone(&w));
-        let b = CellSpec::file(&cfg, Arc::clone(&w));
-        assert_eq!(a.canonical_key(), b.canonical_key());
-        assert!(a.canonical_key().contains("interleave"));
-        assert_eq!(a.cfg.avg_cpi, w.avg_cpi());
-
-        let mut plan = crate::SweepPlan::new();
-        let id1 = plan.cell_file(&cfg, &w);
-        let id2 = plan.cell_file(&cfg, &w);
-        assert_eq!(id1, id2);
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan.dedup_hits(), 1);
-
-        let r1 = a.simulate();
-        let r2 = b.simulate();
-        assert_eq!(r1.to_json().pretty(), r2.to_json().pretty());
-        assert!(r1.total_refs() > 0);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

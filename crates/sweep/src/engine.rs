@@ -1,7 +1,7 @@
 //! The sweep engine: dedup, cost-aware scheduling, deterministic merge.
 
 use crate::cache::ResultCache;
-use crate::cell::{CellSource, CellSpec};
+use crate::cell::CellSpec;
 use sim::{RunResult, SimConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,21 +33,7 @@ impl SweepPlan {
     /// A repeated request for an identical cell returns the existing id
     /// and counts as a dedup hit.
     pub fn cell(&mut self, cfg: &SimConfig, benchmark: Benchmark, scale: Scale) -> CellId {
-        self.insert(CellSpec::new(cfg, benchmark, scale))
-    }
-
-    /// Requests one (config × trace file) cell — the file-backed analogue
-    /// of [`cell`](Self::cell). The `Arc` shares one open file across
-    /// every cell replaying the same file.
-    pub fn cell_file(
-        &mut self,
-        cfg: &SimConfig,
-        workload: &std::sync::Arc<workloads::TraceFileWorkload>,
-    ) -> CellId {
-        self.insert(CellSpec::file(cfg, std::sync::Arc::clone(workload)))
-    }
-
-    fn insert(&mut self, spec: CellSpec) -> CellId {
+        let spec = CellSpec::new(cfg, benchmark, scale);
         self.logical_requests += 1;
         let key = spec.canonical_key();
         if let Some(&id) = self.by_key.get(&key) {
@@ -156,10 +142,9 @@ impl SweepResults {
     }
 }
 
-/// A sweep failed: a planned cell has an invalid config (found before
-/// any cell runs), or a cell's trace file could not be read mid-run. A
-/// panicking cell is a bug, not an error; it propagates out of
-/// [`SweepEngine::run`].
+/// A sweep failed: a planned cell has an invalid config, found before any
+/// cell runs. A panicking cell is a bug, not an error; it propagates out
+/// of [`SweepEngine::run`].
 #[derive(Debug, Clone)]
 pub struct SweepError {
     /// Human-readable cause.
@@ -243,10 +228,7 @@ impl SweepEngine {
 
     /// Runs every cell of `plan` (cache hits excepted) and returns the
     /// deterministically merged results. A cell whose config fails
-    /// [`SimConfig::validate`] is an error before any cell runs. A file
-    /// cell whose trace could not be read in full ran short: it is an
-    /// error after the sweep (the lowest such cell id is named), and its
-    /// result is never cached.
+    /// [`SimConfig::validate`] is an error before any cell runs.
     ///
     /// Scheduling is cost-aware: `min(jobs, misses)` workers, the calling
     /// thread among them, claim cells from one shared cursor over the
@@ -283,8 +265,6 @@ impl SweepEngine {
         let simulated = to_run.len() as u64;
         metrics::SWEEP_CELLS_SIMULATED.add(simulated);
         let _sim_span = metrics::PHASE_SIMULATE.start();
-        // The lowest-id cell whose trace file came up short, if any.
-        let failed: Mutex<Option<(CellId, SweepError)>> = Mutex::new(None);
         if !to_run.is_empty() {
             let mut heart = telemetry::Heartbeat::new(label, "cells", simulated);
             if self.quiet {
@@ -300,19 +280,8 @@ impl SweepEngine {
                     let spec = &plan.cells[id];
                     let busy = metrics::enabled().then(Instant::now);
                     let result = spec.simulate();
-                    let short = match &spec.source {
-                        CellSource::File(w) => w.error(),
-                        CellSource::Synth { .. } => None,
-                    };
-                    if let Some(e) = short {
-                        let mut failed = failed.lock().expect("failure slot poisoned");
-                        if failed.as_ref().is_none_or(|(first, _)| id < *first) {
-                            *failed = Some((id, SweepError::cell(id, spec, e)));
-                        }
-                    } else {
-                        self.cache.store(spec, &result);
-                        assert!(slots[id].set(result).is_ok(), "cell {id} ran twice");
-                    }
+                    self.cache.store(spec, &result);
+                    assert!(slots[id].set(result).is_ok(), "cell {id} ran twice");
                     if let Some(t0) = busy {
                         metrics::POOL_BUSY_NS.add(t0.elapsed().as_nanos() as u64);
                     }
@@ -328,9 +297,6 @@ impl SweepEngine {
                 worker();
             });
             heart.into_inner().expect("heartbeat poisoned").finish();
-        }
-        if let Some((_, e)) = failed.into_inner().expect("failure slot poisoned") {
-            return Err(e);
         }
 
         let results: Vec<RunResult> = slots
@@ -498,39 +464,6 @@ mod tests {
         assert_eq!(r.stats.simulated, 1);
         assert_eq!(r.get(id).total_refs(), r.stats.refs_simulated);
         assert!(r.stats.refs_simulated > 0);
-    }
-
-    #[test]
-    fn file_cell_cut_short_is_an_error_naming_the_cell_and_not_cached() {
-        use mem_trace::record::TraceRecord;
-        let path =
-            std::env::temp_dir().join(format!("redhip-engine-cut-{}.trace", std::process::id()));
-        let t = (0..80_000u64).map(|i| TraceRecord::load(0x400 + i % 9, (i * 2897) % (1 << 22)));
-        mem_trace::stream::write_v2_file(&path, t, 1024).unwrap();
-        let w = std::sync::Arc::new(
-            workloads::TraceFileWorkload::from_spec(&format!("file:{}:interleave", path.display()))
-                .unwrap(),
-        );
-        // The file shrinks after it was opened and checked.
-        let len = std::fs::metadata(&path).unwrap().len();
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_len(len / 2)
-            .unwrap();
-        let mut p = smoke_plan();
-        let file_cell = p.cell_file(&cfg(Mechanism::Redhip, 10_000), &w);
-        let engine = SweepEngine::new(2).quiet();
-        let err = engine.run(&p, "t").unwrap_err().to_string();
-        assert!(
-            err.contains(&format!("cell {file_cell} (ReDHiP on file:")),
-            "{err}"
-        );
-        assert!(err.contains("reading chunk"), "{err}");
-        // The short result was not cached: asking again misses.
-        assert!(engine.cache().lookup(&p.cells()[file_cell]).is_none());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! File-backed workloads: recorded traces replayed through the registry.
+//! File-backed workloads: a recorded trace replayed as one feed per core.
 //!
 //! A [`TraceFileWorkload`] wraps an open [`StreamTrace`] (v2 trace file)
 //! plus a policy for distributing its records across simulated cores:
@@ -13,13 +13,10 @@
 //! * **range** — core `i` takes the `i`-th contiguous `1/n` slice, for
 //!   treating one long single-threaded trace as `n` independent programs.
 //!
-//! Workload specs name these as `file:PATH`, `file:PATH:interleave`,
-//! `file:PATH:range` (default `dup`); [`crate::WorkloadSource::parse`]
-//! accepts either a registry benchmark name or such a spec.
+//! `redhip-sim trace replay --mode dup|interleave|range` names these modes;
+//! each core's [`TraceFileWorkload::feed`] goes to `sim::run_feeds`.
 
-use mem_trace::DynTrace;
 use mem_trace::{ShardSpec, StreamTrace, TraceIoError};
-use std::io;
 use std::path::Path;
 
 /// Average CPI charged for a recorded trace's gap instructions. External
@@ -28,10 +25,9 @@ use std::path::Path;
 pub const DEFAULT_FILE_CPI: f64 = 1.5;
 
 /// How a trace file's records are distributed across cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileMode {
     /// Every core replays the whole file.
-    #[default]
     Duplicate,
     /// Core `i` of `n` replays interleave shard `i`.
     Interleave,
@@ -40,7 +36,7 @@ pub enum FileMode {
 }
 
 impl FileMode {
-    /// Stable tag used in specs and canonical keys.
+    /// Stable tag, as `redhip-sim trace replay --mode` spells it.
     pub fn tag(self) -> &'static str {
         match self {
             FileMode::Duplicate => "dup",
@@ -49,7 +45,7 @@ impl FileMode {
         }
     }
 
-    /// Parses a spec suffix.
+    /// Parses a tag.
     pub fn from_tag(s: &str) -> Option<FileMode> {
         match s {
             "dup" => Some(FileMode::Duplicate),
@@ -75,47 +71,24 @@ impl FileMode {
     }
 }
 
-/// An open trace file registered as a workload. Cheap to share: the
-/// cursors handed to cores share one file handle and each decoded chunk,
-/// so cores (or concurrent sweep cells) replaying the file together
-/// decode each chunk once.
+/// An open trace file replayed as a workload. The cursors handed to
+/// cores share one file handle and each decoded chunk, so cores replaying
+/// the file together decode each chunk once.
 #[derive(Debug)]
 pub struct TraceFileWorkload {
     base: StreamTrace,
     mode: FileMode,
     avg_cpi: f64,
-    /// The path exactly as given in the spec (not canonicalized), so
-    /// canonical keys are reproducible across machines and sessions.
-    spec_path: String,
 }
 
 impl TraceFileWorkload {
     /// Opens `path` with the given distribution mode.
     pub fn open(path: impl AsRef<Path>, mode: FileMode) -> Result<Self, TraceIoError> {
-        let path = path.as_ref();
         Ok(Self {
             base: StreamTrace::open(path)?,
             mode,
             avg_cpi: DEFAULT_FILE_CPI,
-            spec_path: path.display().to_string(),
         })
-    }
-
-    /// Parses a `file:PATH[:dup|:interleave|:range]` spec and opens it.
-    pub fn from_spec(spec: &str) -> Result<Self, TraceIoError> {
-        let rest = spec.strip_prefix("file:").ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("not a file workload spec: {spec}"),
-            )
-        })?;
-        let (path, mode) = match rest.rsplit_once(':') {
-            Some((path, tag)) if FileMode::from_tag(tag).is_some() && !path.is_empty() => {
-                (path, FileMode::from_tag(tag).expect("checked"))
-            }
-            _ => (rest, FileMode::default()),
-        };
-        Self::open(path, mode)
     }
 
     /// Overrides the CPI charged for gap instructions.
@@ -126,16 +99,6 @@ impl TraceFileWorkload {
     /// CPI charged for gap instructions.
     pub fn avg_cpi(&self) -> f64 {
         self.avg_cpi
-    }
-
-    /// The distribution mode.
-    pub fn mode(&self) -> FileMode {
-        self.mode
-    }
-
-    /// The path as given in the spec.
-    pub fn spec_path(&self) -> &str {
-        &self.spec_path
     }
 
     /// Total records in the file.
@@ -150,34 +113,10 @@ impl TraceFileWorkload {
         self.base.error()
     }
 
-    /// File-level summary (chunks, sizes).
-    pub fn info(&self) -> mem_trace::stream::TraceInfo {
-        self.base.info()
-    }
-
     /// The stream cursor core `core` of `cores` replays — a
     /// [`mem_trace::TraceFeed`] the simulator refills from in bulk.
     pub fn feed(&self, core: usize, cores: usize) -> StreamTrace {
         self.base.shard(self.mode.shard(core, cores))
-    }
-
-    /// Same records as [`feed`](Self::feed), boxed as a plain iterator
-    /// for the registry's [`DynTrace`] interface.
-    pub fn trace(&self, core: usize, cores: usize) -> DynTrace {
-        Box::new(self.feed(core, cores))
-    }
-
-    /// Stable identity for canonical keys: spec, mode, and the file's
-    /// record/byte counts (so a rewritten file invalidates caches).
-    pub fn identity_tag(&self) -> String {
-        let info = self.base.info();
-        format!(
-            "file:{}:{}:r{}:b{}",
-            self.spec_path,
-            self.mode.tag(),
-            info.total_records,
-            info.file_bytes
-        )
     }
 }
 
@@ -195,43 +134,23 @@ mod tests {
     }
 
     #[test]
-    fn spec_parsing_covers_modes_and_defaults() {
-        let path = write_sample("spec", 100);
-        let p = path.display().to_string();
-        let dup = TraceFileWorkload::from_spec(&format!("file:{p}")).unwrap();
-        assert_eq!(dup.mode(), FileMode::Duplicate);
-        assert_eq!(dup.spec_path(), p);
-        for (suffix, mode) in [
-            ("dup", FileMode::Duplicate),
-            ("interleave", FileMode::Interleave),
-            ("range", FileMode::Range),
-        ] {
-            let w = TraceFileWorkload::from_spec(&format!("file:{p}:{suffix}")).unwrap();
-            assert_eq!(w.mode(), mode, "{suffix}");
-        }
-        assert!(TraceFileWorkload::from_spec("mcf").is_err());
-        assert!(TraceFileWorkload::from_spec("file:/does/not/exist").is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn modes_distribute_records_as_documented() {
         let path = write_sample("modes", 90);
         let all: Vec<TraceRecord> = {
             let w = TraceFileWorkload::open(&path, FileMode::Duplicate).unwrap();
-            w.trace(0, 3).collect()
+            w.feed(0, 3).collect()
         };
         assert_eq!(all.len(), 90);
 
         let w = TraceFileWorkload::open(&path, FileMode::Duplicate).unwrap();
         for core in 0..3 {
-            let got: Vec<_> = w.trace(core, 3).collect();
+            let got: Vec<_> = w.feed(core, 3).collect();
             assert_eq!(got, all, "dup core {core}");
         }
 
         let w = TraceFileWorkload::open(&path, FileMode::Interleave).unwrap();
         let mut rebuilt = Vec::new();
-        let parts: Vec<Vec<_>> = (0..3).map(|c| w.trace(c, 3).collect()).collect();
+        let parts: Vec<Vec<_>> = (0..3).map(|c| w.feed(c, 3).collect()).collect();
         for i in 0..all.len() {
             rebuilt.push(parts[i % 3][i / 3]);
         }
@@ -239,24 +158,9 @@ mod tests {
 
         let w = TraceFileWorkload::open(&path, FileMode::Range).unwrap();
         let joined: Vec<_> = (0..3)
-            .flat_map(|c| w.trace(c, 3).collect::<Vec<_>>())
+            .flat_map(|c| w.feed(c, 3).collect::<Vec<_>>())
             .collect();
         assert_eq!(joined, all);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn identity_tag_tracks_file_content() {
-        let path = write_sample("ident", 50);
-        let a = TraceFileWorkload::open(&path, FileMode::Interleave).unwrap();
-        let tag = a.identity_tag();
-        assert!(tag.contains("interleave") && tag.contains(":r50:"));
-        drop(a);
-        // Rewriting the file with different content changes the tag.
-        let t = (0..60u64).map(|i| TraceRecord::load(0x400, i));
-        mem_trace::stream::write_v2_file(&path, t, 64).unwrap();
-        let b = TraceFileWorkload::open(&path, FileMode::Interleave).unwrap();
-        assert_ne!(b.identity_tag(), tag);
         let _ = std::fs::remove_file(&path);
     }
 }

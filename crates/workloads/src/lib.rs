@@ -26,11 +26,10 @@
 //! evaluation depends on: footprint larger than the LLC, short-reuse
 //! fraction (≈ L1 hit-rate proxy) in a realistic band, and
 //! stride-predictability matching the benchmark's character.
-
 //!
-//! Besides the synthetic generators, [`file::TraceFileWorkload`] registers
-//! recorded v2 trace files as workloads (`file:PATH[:dup|:interleave|:range]`
-//! specs), replayed chunk-at-a-time with bounded memory.
+//! Besides the synthetic generators, [`file::TraceFileWorkload`] replays a
+//! recorded v2 trace file chunk-at-a-time with bounded memory, one feed
+//! per core (`redhip-sim trace replay`).
 
 pub mod file;
 pub mod graph500;
@@ -41,5 +40,5 @@ pub mod spec;
 
 pub use file::{FileMode, TraceFileWorkload};
 pub use mem_trace::DynTrace;
-pub use registry::{Benchmark, WorkloadSource};
+pub use registry::Benchmark;
 pub use scale::Scale;

@@ -132,59 +132,6 @@ impl std::fmt::Display for Benchmark {
     }
 }
 
-/// Any registered workload: a synthetic generator by benchmark name, or a
-/// recorded trace file (`file:PATH[:dup|:interleave|:range]` spec).
-#[derive(Debug, Clone)]
-pub enum WorkloadSource {
-    /// A paper benchmark driven by its kernel generator.
-    Synth(Benchmark),
-    /// A recorded v2 trace file, shared across cores.
-    File(std::sync::Arc<crate::file::TraceFileWorkload>),
-}
-
-impl WorkloadSource {
-    /// Resolves a workload spec: a benchmark name from the registry, or a
-    /// `file:` spec (which opens and validates the file).
-    pub fn parse(spec: &str) -> Result<WorkloadSource, String> {
-        if let Some(b) = Benchmark::from_name(spec) {
-            return Ok(WorkloadSource::Synth(b));
-        }
-        if spec.starts_with("file:") {
-            return crate::file::TraceFileWorkload::from_spec(spec)
-                .map(|w| WorkloadSource::File(std::sync::Arc::new(w)))
-                .map_err(|e| format!("cannot open {spec}: {e}"));
-        }
-        Err(format!(
-            "unknown workload '{spec}' (expected a benchmark name or file:PATH[:dup|:interleave|:range])"
-        ))
-    }
-
-    /// Display name: the benchmark's figure name, or the file spec.
-    pub fn name(&self) -> String {
-        match self {
-            WorkloadSource::Synth(b) => b.name().to_string(),
-            WorkloadSource::File(w) => format!("file:{}:{}", w.spec_path(), w.mode().tag()),
-        }
-    }
-
-    /// Average CPI charged for gap instructions.
-    pub fn avg_cpi(&self) -> f64 {
-        match self {
-            WorkloadSource::Synth(b) => b.avg_cpi(),
-            WorkloadSource::File(w) => w.avg_cpi(),
-        }
-    }
-
-    /// Builds the record stream for one core. `scale` applies to
-    /// synthetic generators only; a file replays what was recorded.
-    pub fn trace(&self, core: usize, cores: usize, scale: Scale) -> DynTrace {
-        match self {
-            WorkloadSource::Synth(b) => b.trace(core, scale),
-            WorkloadSource::File(w) => w.trace(core, cores),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,31 +186,5 @@ mod tests {
     #[test]
     fn display_matches_name() {
         assert_eq!(format!("{}", Benchmark::CactusAdm), "cactusADM");
-    }
-
-    #[test]
-    fn workload_source_parses_benchmarks_and_rejects_garbage() {
-        match WorkloadSource::parse("mcf") {
-            Ok(WorkloadSource::Synth(Benchmark::Mcf)) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(WorkloadSource::parse("nope").is_err());
-        assert!(WorkloadSource::parse("file:/does/not/exist.trace").is_err());
-    }
-
-    #[test]
-    fn workload_source_replays_files() {
-        use mem_trace::TraceRecord;
-        let path =
-            std::env::temp_dir().join(format!("redhip-registry-{}.trace", std::process::id()));
-        let t = (0..40u64).map(|i| TraceRecord::load(0x400, i * 64));
-        mem_trace::stream::write_v2_file(&path, t, 16).unwrap();
-        let src = WorkloadSource::parse(&format!("file:{}:interleave", path.display())).unwrap();
-        assert!(src.name().ends_with(":interleave"));
-        assert_eq!(src.avg_cpi(), crate::file::DEFAULT_FILE_CPI);
-        let core0: Vec<_> = src.trace(0, 2, Scale::Smoke).collect();
-        assert_eq!(core0.len(), 20);
-        assert_eq!(core0[1].addr, 2 * 64);
-        let _ = std::fs::remove_file(&path);
     }
 }

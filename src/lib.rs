@@ -48,7 +48,7 @@ pub mod prelude {
         Mechanism, NullObserver, RecalibMarker, RunResult, SimConfig, SimObserver, Tee,
         TelemetryRecord, WindowSample, WindowedCollector,
     };
-    pub use workloads::{Benchmark, FileMode, Scale, TraceFileWorkload, WorkloadSource};
+    pub use workloads::{Benchmark, FileMode, Scale, TraceFileWorkload};
 }
 
 #[cfg(test)]
