@@ -1,7 +1,8 @@
 //! `redhip-sim` — run one configuration on one workload and report.
 //!
-//! [`USAGE`] documents the flags, and `redhip-sim --help` prints it; the
-//! `trace` subcommands are documented in [`bench::tracecli::USAGE`].
+//! [`USAGE`] documents the flags, and `redhip-sim --help` prints it with
+//! the mechanism list generated from [`sim::MECHANISMS`]; the `trace`
+//! subcommands are documented in [`bench::tracecli::USAGE`].
 
 use bench::harness::{mechanism_config, FigureScale};
 use cache_sim::InclusionPolicy;
@@ -9,21 +10,21 @@ use minijson::ToJson;
 use sim::{Comparison, Heartbeat, HeartbeatObserver, Mechanism, RunResult, Tee, WindowedCollector};
 use workloads::Benchmark;
 
-/// The usage text, printed by `--help`.
+/// The usage text, printed by `--help` with `{mechanisms}` replaced by
+/// the mechanism list.
 const USAGE: &str = "\
 redhip-sim --benchmark mcf --mechanism redhip [options]
 
   --benchmark NAME     bwaves|GemsFDTD|lbm|mcf|milc|soplex|astar|
                        cactusADM|mix|pmf|blas            (required)
-  --mechanism M        registry spec string (default redhip):
-                       base|redhip|phased|oracle|cbf[:bits=..,hashes=..]|
-                       level-pred[:conf=..,max=..,penalty=..]|
-                       perceptron[:theta=..,history=..]|
-                       way-memo[:entries=..,penalty=..]
+  --mechanism SPEC     NAME[:KEY=VALUE,...] with a NAME and KEYs from
+                       the mechanism list below (default redhip); a
+                       value outside its KEY's range is an error
   --policy P           inclusive|exclusive|hybrid        (default inclusive)
   --scale S            smoke|demo|paper                  (default demo)
   --refs N             references per core               (default per scale)
-  --pt-bytes N         prediction-table size override
+  --pt-bytes N         predictor budget in bytes, 1 to the LLC's capacity
+                       (default: the platform's)
   --recalib N          recalibration period in L1 misses (0 = never)
   --prefetch           enable the stride prefetcher
   --compare            also run Base and print the comparison
@@ -39,6 +40,9 @@ redhip-sim --benchmark mcf --mechanism redhip [options]
   --quiet              suppress the stderr heartbeat
   --help               print this text
 
+Mechanisms, and their KEY=MIN..=MAX [default]:
+{mechanisms}
+
 Trace toolchain (`redhip-sim trace --help` lists the flags):
 
   redhip-sim trace record   record a benchmark's streams to a v2 file
@@ -46,6 +50,24 @@ Trace toolchain (`redhip-sim trace --help` lists the flags):
   redhip-sim trace info     print a trace file's layout and stats
   redhip-sim trace replay   stream a trace file through the simulator
 ";
+
+/// [`USAGE`] with the mechanism list: each row's spec name and summary,
+/// then its keys.
+fn usage_text() -> String {
+    let mut list = String::new();
+    for row in &sim::MECHANISMS {
+        list += &format!("  {:<19}{}\n", row.spec, row.summary);
+        let keys: Vec<String> = row
+            .keys
+            .iter()
+            .map(|k| format!("{}={}..={} [{}]", k.name, k.min, k.max, k.default))
+            .collect();
+        if !keys.is_empty() {
+            list += &format!("  {:<19}{}\n", "", keys.join("  "));
+        }
+    }
+    USAGE.replace("{mechanisms}\n", &list)
+}
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -74,7 +96,7 @@ fn main() {
     }
 
     let mut benchmark = None;
-    let mut mechanism = sim::ParsedSpec::new(Mechanism::Redhip);
+    let mut spec: Option<String> = None;
     let mut policy = InclusionPolicy::Inclusive;
     let mut scale = FigureScale::Demo;
     let mut refs: Option<usize> = None;
@@ -103,8 +125,7 @@ fn main() {
                 );
             }
             "--mechanism" | "-m" => {
-                let spec = next("--mechanism").to_ascii_lowercase();
-                mechanism = sim::parse_spec(&spec).unwrap_or_else(|e| usage(&e));
+                spec = Some(next("--mechanism").to_ascii_lowercase());
             }
             "--policy" | "-p" => {
                 policy = match next("--policy").to_ascii_lowercase().as_str() {
@@ -161,7 +182,7 @@ fn main() {
             }
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
-                print!("{USAGE}");
+                print!("{}", usage_text());
                 std::process::exit(0);
             }
             other => usage(&format!("unknown argument {other}")),
@@ -175,9 +196,11 @@ fn main() {
     let benchmark = benchmark.unwrap_or_else(|| usage("--benchmark is required"));
 
     let refs = refs.unwrap_or_else(|| scale.default_refs());
-    let mut cfg = mechanism_config(scale, mechanism.mechanism, refs);
-    mechanism.apply(&mut cfg);
-    let mechanism = mechanism.mechanism;
+    let mut cfg = mechanism_config(scale, Mechanism::Redhip, refs);
+    if let Some(spec) = &spec {
+        sim::apply_spec(&mut cfg, spec).unwrap_or_else(|e| usage(&e));
+    }
+    let mechanism = cfg.mechanism;
     cfg.policy = policy;
     cfg.pt_bytes = pt_bytes;
     if let Some(r) = recalib {

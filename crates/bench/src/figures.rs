@@ -32,7 +32,7 @@ pub const COMPARED: [Mechanism; 4] = [
 ];
 
 /// Every non-Base mechanism, for the predictor shoot-out: the paper's
-/// legend order followed by the registry contenders.
+/// legend order followed by the related-work contenders.
 pub const SHOOTOUT: [Mechanism; 7] = [
     Mechanism::Oracle,
     Mechanism::Cbf,
@@ -310,7 +310,7 @@ pub fn fig8(m: &Matrix) -> FigureOutput {
 
 /// The predictor shoot-out: every non-Base mechanism's speedup and
 /// normalized dynamic energy side by side (Figure 6/7-style rows over the
-/// [`SHOOTOUT`] columns, including the registry contenders).
+/// [`SHOOTOUT`] columns, including the related-work contenders).
 pub fn shootout(m: &Matrix) -> FigureOutput {
     let (t_speed, speedup) = series_table(m, |c| c.speedup(), TextTable::pct);
     let (t_energy, dynamic) = series_table(m, |c| c.dynamic_ratio(), TextTable::ratio);

@@ -42,8 +42,8 @@ redhip-sim trace replay --in FILE [options]
     Feeds the file to the simulator chunk-at-a-time (bounded memory,
     zero per-record allocation) and reports results + throughput.
       --mode M        dup|interleave|range            (default dup)
-      --mechanism M   registry spec string — see `redhip-sim --help`
-                      (default redhip)
+      --mechanism M   mechanism spec, NAME[:KEY=VALUE,...] — see
+                      `redhip-sim --help` (default redhip)
       --scale S       smoke|demo|paper platform       (default demo)
       --refs N        references per core             (default: shard len)
       --cpi X         CPI charged for gap instructions (default 1.5)
@@ -304,7 +304,7 @@ fn info(args: Vec<String>) {
 fn replay(args: Vec<String>) {
     let mut input = None;
     let mut mode = FileMode::Duplicate;
-    let mut mechanism = sim::ParsedSpec::new(Mechanism::Redhip);
+    let mut spec: Option<String> = None;
     let mut scale = FigureScale::Demo;
     let mut refs: Option<usize> = None;
     let mut cpi: Option<f64> = None;
@@ -320,8 +320,7 @@ fn replay(args: Vec<String>) {
                     .unwrap_or_else(|| usage(&format!("unknown mode {v} (dup|interleave|range)")));
             }
             "--mechanism" | "-m" => {
-                let spec = f.value("--mechanism").to_ascii_lowercase();
-                mechanism = sim::parse_spec(&spec).unwrap_or_else(|e| usage(&e));
+                spec = Some(f.value("--mechanism").to_ascii_lowercase());
             }
             "--scale" => {
                 let v = f.value("--scale");
@@ -336,6 +335,11 @@ fn replay(args: Vec<String>) {
         }
     }
     let input = input.unwrap_or_else(|| usage("--in is required"));
+    let mut cfg = mechanism_config(scale, Mechanism::Redhip, 0);
+    if let Some(spec) = &spec {
+        sim::apply_spec(&mut cfg, spec).unwrap_or_else(|e| usage(&e));
+    }
+    let mechanism = cfg.mechanism;
 
     // Positioned reads keep resident memory at one raw chunk per file and
     // one decoded chunk per core, even for files far larger than RAM.
@@ -345,9 +349,6 @@ fn replay(args: Vec<String>) {
         workload.set_avg_cpi(c);
     }
 
-    let mut cfg = mechanism_config(scale, mechanism.mechanism, 0);
-    mechanism.apply(&mut cfg);
-    let mechanism = mechanism.mechanism;
     let cores = cfg.platform.cores;
     // Default target: exactly what the shard can supply, so a replay of a
     // recorded file consumes it fully.

@@ -1,9 +1,12 @@
 //! The `redhip-sim` binary's exits: a path it cannot write exits 1 and a
 //! malformed trace file exits 2, each with a message naming the path,
-//! never by a signal. An extreme but valid `--chunk` is no error, a
-//! way-memo larger than the LLC exits 2, and `--help` prints the usage
-//! and exits 0.
+//! never by a signal. An extreme but valid `--chunk` is no error; every
+//! `--mechanism` key outside its range, a way-memo larger than the LLC
+//! and a predictor budget above the LLC exit 2; and `--help` prints the
+//! usage, with every mechanism of the table, and exits 0.
 
+use bench::harness::{mechanism_config, FigureScale};
+use sim::{Mechanism, MECHANISMS};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -271,4 +274,104 @@ fn way_memo_larger_than_the_llc_exits_2_naming_entries() {
     assert_eq!(o.status.code(), Some(2), "{err}");
     assert!(err.contains("error: way-memo entries"), "{err}");
     assert!(err.contains("entries=4294967295"), "{err}");
+}
+
+#[test]
+fn predictor_budget_above_the_llc_exits_2_naming_pt_bytes() {
+    for mechanism in ["cbf", "level-pred", "perceptron", "redhip", "base"] {
+        let o = smoke_run(&["--mechanism", mechanism, "--pt-bytes", "1099511627776"]);
+        let err = String::from_utf8_lossy(&o.stderr);
+        // `code()` is None when a signal (abort) ended the process.
+        assert_eq!(o.status.code(), Some(2), "{mechanism}: {err}");
+        assert!(
+            err.contains("error: pt-bytes must be in 1..=8388608"),
+            "{mechanism}: {err}"
+        );
+    }
+}
+
+/// Every key of every mechanism at min − 1, min, max, max + 1, `u32::MAX`,
+/// `u64::MAX` and a non-number, through `apply_spec` + `validate` and
+/// through one smoke-scale `redhip-sim` cell: a value both accept runs to
+/// exit 0, and any other exits 2 with their error. Never a signal. The
+/// test iterates the mechanism table, so a new key cannot skip it.
+#[test]
+fn every_spec_key_at_and_beyond_its_range_exits_0_or_2() {
+    let (dir, _) = dir_with_file("spec-keys");
+    let metrics = format!("--metrics={}", dir.join("m.jsonl").display());
+    for row in &MECHANISMS {
+        for key in row.keys {
+            let mut values: Vec<String> = [key.min - 1, key.min, key.max, key.max + 1]
+                .iter()
+                .map(i64::to_string)
+                .chain([u32::MAX.to_string(), u64::MAX.to_string(), "x".into()])
+                .collect();
+            values.sort();
+            values.dedup();
+            for value in values {
+                let spec = format!("{}:{}={value}", row.spec, key.name);
+                let in_range = value
+                    .parse::<i64>()
+                    .is_ok_and(|v| (key.min..=key.max).contains(&v));
+                let mut cfg = mechanism_config(FigureScale::Smoke, Mechanism::Redhip, 2000);
+                let applied = sim::apply_spec(&mut cfg, &spec);
+                assert_eq!(applied.is_ok(), in_range, "{spec}: {applied:?}");
+                let verdict = applied.and_then(|()| cfg.validate());
+                let o = smoke_run(&["--mechanism", &spec, &metrics]);
+                let err = String::from_utf8_lossy(&o.stderr);
+                match verdict {
+                    Ok(()) => assert_eq!(o.status.code(), Some(0), "{spec}: {err}"),
+                    Err(e) => {
+                        assert_eq!(o.status.code(), Some(2), "{spec}: {err}");
+                        assert!(err.contains(&format!("error: {e}")), "{spec}: {err}");
+                    }
+                }
+                if !in_range {
+                    let range = format!(
+                        "`{}:{}` must be an integer in {}..={}",
+                        row.spec, key.name, key.min, key.max
+                    );
+                    assert!(err.contains(&range), "{spec}: {err}");
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--help` lists every row of the mechanism table with its summary and
+/// keys, and README's mechanism table has one row per table row, in
+/// order, with the same spec name, keys and summary.
+#[test]
+fn help_and_readme_describe_every_mechanism_row() {
+    let help = String::from_utf8_lossy(&redhip_sim(&["--help"]).stdout).into_owned();
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("read README.md");
+    let table: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| spec |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    assert_eq!(table.len(), MECHANISMS.len(), "README rows: {table:#?}");
+    for (row, line) in MECHANISMS.iter().zip(table) {
+        assert!(
+            help.lines()
+                .any(|l| l.starts_with(&format!("  {} ", row.spec)) && l.ends_with(row.summary)),
+            "--help lacks `{}`: {help}",
+            row.spec
+        );
+        assert!(line.starts_with(&format!("| `{}` |", row.spec)), "{line}");
+        assert!(line.contains(&format!("| {}", row.summary)), "{line}");
+        for key in row.keys {
+            let range = format!("{}..={}", key.min, key.max);
+            let in_help = format!("{}={range} [{}]", key.name, key.default);
+            assert!(help.contains(&in_help), "--help lacks {in_help}: {help}");
+            let in_readme = format!("`{}` {range} ({})", key.name, key.default);
+            assert!(
+                line.contains(&in_readme),
+                "README lacks {in_readme}: {line}"
+            );
+        }
+    }
 }

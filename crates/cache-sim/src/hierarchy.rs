@@ -37,17 +37,6 @@ impl minijson::ToJson for InclusionPolicy {
     }
 }
 
-impl minijson::FromJson for InclusionPolicy {
-    fn from_json(v: &minijson::Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Inclusive") => Ok(InclusionPolicy::Inclusive),
-            Some("Exclusive") => Ok(InclusionPolicy::Exclusive),
-            Some("Hybrid") => Ok(InclusionPolicy::Hybrid),
-            _ => Err(format!("not an InclusionPolicy: {v:?}")),
-        }
-    }
-}
-
 /// Static description of a hierarchy.
 #[derive(Debug, Clone)]
 pub struct HierarchyConfig {

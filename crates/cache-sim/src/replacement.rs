@@ -34,18 +34,6 @@ impl minijson::ToJson for ReplacementPolicy {
     }
 }
 
-impl minijson::FromJson for ReplacementPolicy {
-    fn from_json(v: &minijson::Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Lru") => Ok(ReplacementPolicy::Lru),
-            Some("TreePlru") => Ok(ReplacementPolicy::TreePlru),
-            Some("Random") => Ok(ReplacementPolicy::Random),
-            Some("Srrip") => Ok(ReplacementPolicy::Srrip),
-            _ => Err(format!("not a ReplacementPolicy: {v:?}")),
-        }
-    }
-}
-
 /// Runtime state of a way-indexed replacement policy for a whole cache.
 #[derive(Debug, Clone)]
 pub(crate) enum ReplacerState {

@@ -1,6 +1,6 @@
 //! Architecture parameter structures (the shape of the paper's Table I).
 
-use minijson::{json, FromJson, Json, ToJson};
+use minijson::{json, Json, ToJson};
 
 /// Parameters of one cache level's arrays.
 ///
@@ -177,20 +177,6 @@ impl ToJson for CacheSpec {
     }
 }
 
-impl FromJson for CacheSpec {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            capacity_bytes: v.u64_of("capacity_bytes")?,
-            assoc: v.u64_of("assoc")? as usize,
-            tag_delay: v.u64_of("tag_delay")?,
-            data_delay: v.u64_of("data_delay")?,
-            tag_energy_nj: v.f64_of("tag_energy_nj")?,
-            data_energy_nj: v.f64_of("data_energy_nj")?,
-            leakage_w: v.f64_of("leakage_w")?,
-        })
-    }
-}
-
 impl ToJson for PredictorSpec {
     fn to_json(&self) -> Json {
         json!({
@@ -203,18 +189,6 @@ impl ToJson for PredictorSpec {
     }
 }
 
-impl FromJson for PredictorSpec {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            size_bytes: v.u64_of("size_bytes")?,
-            access_delay: v.u64_of("access_delay")?,
-            wire_delay: v.u64_of("wire_delay")?,
-            access_energy_nj: v.f64_of("access_energy_nj")?,
-            leakage_w: v.f64_of("leakage_w")?,
-        })
-    }
-}
-
 impl ToJson for PlatformSpec {
     fn to_json(&self) -> Json {
         json!({
@@ -222,21 +196,6 @@ impl ToJson for PlatformSpec {
             "freq_ghz": self.freq_ghz,
             "levels": Json::Arr(self.levels.iter().map(|l| l.to_json()).collect()),
             "predictor": self.predictor.to_json(),
-        })
-    }
-}
-
-impl FromJson for PlatformSpec {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            cores: v.u64_of("cores")? as usize,
-            freq_ghz: v.f64_of("freq_ghz")?,
-            levels: v
-                .arr_of("levels")?
-                .iter()
-                .map(CacheSpec::from_json)
-                .collect::<Result<_, _>>()?,
-            predictor: PredictorSpec::from_json(v.member("predictor")?)?,
         })
     }
 }

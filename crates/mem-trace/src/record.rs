@@ -1,6 +1,6 @@
 //! The fundamental trace record type.
 
-use minijson::{json, FromJson, Json, ToJson};
+use minijson::{json, Json, ToJson};
 
 /// Kind of memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,16 +87,6 @@ impl ToJson for MemOp {
     }
 }
 
-impl FromJson for MemOp {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Load") => Ok(MemOp::Load),
-            Some("Store") => Ok(MemOp::Store),
-            _ => Err(format!("not a MemOp: {v:?}")),
-        }
-    }
-}
-
 impl ToJson for TraceRecord {
     fn to_json(&self) -> Json {
         json!({
@@ -104,17 +94,6 @@ impl ToJson for TraceRecord {
             "addr": self.addr,
             "gap": self.gap,
             "op": self.op.to_json(),
-        })
-    }
-}
-
-impl FromJson for TraceRecord {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            pc: v.u64_of("pc")?,
-            addr: v.u64_of("addr")?,
-            gap: v.u64_of("gap")? as u32,
-            op: MemOp::from_json(v.member("op")?)?,
         })
     }
 }
@@ -147,10 +126,11 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
+    fn json_names_every_field() {
         let r = TraceRecord::new(1, 2, MemOp::Store, 3);
-        let s = r.to_json().dump();
-        let back = TraceRecord::from_json(&minijson::parse(&s).unwrap()).unwrap();
-        assert_eq!(back, r);
+        assert_eq!(
+            r.to_json().dump(),
+            r#"{"pc":1,"addr":2,"gap":3,"op":"Store"}"#
+        );
     }
 }

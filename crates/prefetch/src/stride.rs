@@ -1,6 +1,6 @@
 //! PC-indexed reference prediction table with the Chen/Baer 2-bit FSM.
 
-use minijson::{json, FromJson, Json, ToJson};
+use minijson::{json, Json, ToJson};
 
 /// Stride prefetcher configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,16 +34,6 @@ impl ToJson for StrideConfig {
             "index_bits": self.index_bits,
             "degree": self.degree,
             "min_advance": self.min_advance,
-        })
-    }
-}
-
-impl FromJson for StrideConfig {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            index_bits: v.u64_of("index_bits")? as u32,
-            degree: v.u64_of("degree")? as u32,
-            min_advance: v.u64_of("min_advance")? as u32,
         })
     }
 }

@@ -13,7 +13,8 @@ pub struct CbfConfig {
     /// Bits per counter (the referenced work finds 3 sufficient for a 256 KB
     /// cache; larger caches need more or rely on saturation).
     pub counter_bits: u32,
-    /// Number of hash functions (1 is sufficient per the referenced work).
+    /// Number of hash functions (1 is sufficient per the referenced work;
+    /// at most [`XorHash::FAMILY_SIZE`]).
     pub num_hashes: u32,
 }
 
@@ -22,7 +23,7 @@ impl CbfConfig {
     /// budget in bytes with the given counter width and hash count.
     pub fn from_budget(budget_bytes: u64, counter_bits: u32, num_hashes: u32) -> Self {
         assert!((1..=8).contains(&counter_bits));
-        assert!(num_hashes >= 1);
+        assert!((1..=XorHash::FAMILY_SIZE).contains(&num_hashes));
         let bits = budget_bytes * 8;
         let entries = bits / u64::from(counter_bits);
         assert!(entries >= 2, "budget too small");

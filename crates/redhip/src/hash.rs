@@ -43,8 +43,9 @@ impl BitsHash {
 }
 
 /// Xor-folding hash used by the CBF baseline: the block address is split
-/// into `index_bits`-wide chunks which are xor'ed together. A per-hash seed
-/// rotation yields independent functions for multi-hash filters.
+/// into `index_bits`-wide chunks which are xor'ed together. A per-member
+/// seed rotation yields [`FAMILY_SIZE`](Self::FAMILY_SIZE) distinct
+/// functions for multi-hash filters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XorHash {
     /// Index width in bits.
@@ -54,6 +55,12 @@ pub struct XorHash {
 }
 
 impl XorHash {
+    /// Members a family holds: member `seed` rotates the block by
+    /// `21·seed mod 63` bits, which takes only the values 0, 21 and 42, so
+    /// member 3 is member 0 again. At an index of `w < 3` bits only the
+    /// first `w` members differ (rotations fold together).
+    pub const FAMILY_SIZE: u32 = 3;
+
     /// Creates the `seed`-th xor-hash of an `index_bits`-bit family.
     pub fn new(index_bits: u32, seed: u32) -> Self {
         assert!((1..=40).contains(&index_bits), "unreasonable index width");
@@ -63,8 +70,8 @@ impl XorHash {
     /// Hashes a block address to a table index.
     #[inline]
     pub fn index(&self, block: u64) -> u64 {
-        // Decorrelate the hash family members by rotating the input; the
-        // rotation amount is odd so families differ in every chunk.
+        // Decorrelate the family members by rotating the input 21 bits
+        // per member; the rotations repeat after `FAMILY_SIZE` members.
         let x = block.rotate_left(self.seed.wrapping_mul(21) % 63);
         let mask = (1u64 << self.index_bits) - 1;
         let mut acc = 0u64;
@@ -132,6 +139,31 @@ mod tests {
             }
         }
         assert!(diff > 900, "hash family members too correlated: {diff}");
+    }
+
+    /// Members `a` and `b` are one function: xor-folding a rotation is
+    /// linear over GF(2), so agreeing on every single-bit block means
+    /// agreeing on every block.
+    fn same_function(bits: u32, a: u32, b: u32) -> bool {
+        let (ha, hb) = (XorHash::new(bits, a), XorHash::new(bits, b));
+        (0..64).all(|i| ha.index(1 << i) == hb.index(1 << i))
+    }
+
+    #[test]
+    fn family_members_are_distinct_at_every_cbf_width() {
+        // A CBF of 2..=2^40 counters has a 1..=40-bit index; a w-bit one
+        // tells apart its first min(w, FAMILY_SIZE) members.
+        for bits in 1..=40 {
+            let distinct = bits.min(XorHash::FAMILY_SIZE);
+            for a in 0..distinct {
+                for b in a + 1..distinct {
+                    assert!(!same_function(bits, a, b), "{bits} bits: {a} = {b}");
+                }
+            }
+            assert!(same_function(bits, 0, XorHash::FAMILY_SIZE), "{bits} bits");
+        }
+        assert!(same_function(1, 0, 1));
+        assert!(same_function(2, 0, 2));
     }
 
     #[test]

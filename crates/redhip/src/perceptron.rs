@@ -12,7 +12,12 @@
 use crate::hash::BitsHash;
 
 /// Number of hashed feature tables.
-pub const NUM_FEATURES: usize = 3;
+const NUM_FEATURES: usize = 3;
+
+/// The largest threshold magnitude the perceptron tells apart. A sum of
+/// `NUM_FEATURES` i8 weights lies in −384..=381, so every θ ≥ 384 never
+/// steers and always trains, and every θ ≤ −384 always steers.
+pub const THETA_LIMIT: i32 = 128 * NUM_FEATURES as i32;
 
 /// Hashed perceptron predicting "this load leaves the chip".
 #[derive(Debug, Clone)]
@@ -28,9 +33,10 @@ pub struct OffChipPerceptron {
 
 impl OffChipPerceptron {
     /// `index_bits`-bit tables, `cores` history registers, `history_bits`
-    /// of outcome history folded into the hashes, decision threshold
-    /// `theta`.
+    /// (at most 64) of outcome history folded into the hashes, decision
+    /// threshold `theta`.
     pub fn new(index_bits: u32, cores: usize, history_bits: u32, theta: i32) -> Self {
+        assert!(history_bits <= 64, "history register is 64 bits");
         let hash = BitsHash::new(index_bits);
         let entries = hash.table_entries() as usize;
         let mut weights = Vec::with_capacity(NUM_FEATURES);
@@ -39,7 +45,7 @@ impl OffChipPerceptron {
             crate::prefault(&mut table);
             weights.push(table);
         }
-        let history_mask = if history_bits >= 64 {
+        let history_mask = if history_bits == 64 {
             u64::MAX
         } else {
             (1u64 << history_bits) - 1

@@ -1,69 +1,17 @@
 //! Simulation configuration.
 
+use crate::mechanism::Mechanism;
 use cache_sim::traversal::MAX_LEVELS;
 use cache_sim::{InclusionPolicy, ReplacementPolicy};
 use energy_model::PlatformSpec;
-use minijson::{json, FromJson, Json, ToJson};
+use minijson::{json, Json, ToJson};
 use prefetch::StrideConfig;
 
-/// Which of the compared mechanisms to simulate: the paper's five plus the
-/// three related-work contenders from the predictor registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mechanism {
-    /// No prediction/optimization; all levels parallel tag+data.
-    Base,
-    /// The paper's contribution (single PT for inclusive/hybrid; one table
-    /// per cache for the fully-exclusive configuration, §III-C).
-    Redhip,
-    /// Counting-Bloom-filter predictor at the same area budget.
-    Cbf,
-    /// Phased Cache: L3/L4 serialize tag→data; no predictor.
-    Phased,
-    /// Perfect LLC-residency predictor with zero overhead.
-    Oracle,
-    /// Per-load predicted hit level steering the lookup order, with a
-    /// mispredict penalty (Jalili & Erez, arXiv:2103.14808).
-    LevelPred,
-    /// Hashed two-level perceptron with a confidence threshold gating the
-    /// DRAM bypass (Jamet et al., arXiv:2403.15181).
-    Perceptron,
-    /// Way memoization: tag-way read skipping on re-touched blocks, charged
-    /// in the energy model (arXiv:0710.4703).
-    WayMemo,
-}
-
-impl Mechanism {
-    /// Display name as in the figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mechanism::Base => "Base",
-            Mechanism::Redhip => "ReDHiP",
-            Mechanism::Cbf => "CBF",
-            Mechanism::Phased => "Phased",
-            Mechanism::Oracle => "Oracle",
-            Mechanism::LevelPred => "LevelPred",
-            Mechanism::Perceptron => "Perceptron",
-            Mechanism::WayMemo => "WayMemo",
-        }
-    }
-
-    /// Whether this mechanism instantiates a predictor structure (and so
-    /// pays its leakage). The registry contenders all do — they are sized
-    /// to the same area budget as the PT for an equal-area comparison.
-    pub fn has_predictor(self) -> bool {
-        matches!(
-            self,
-            Mechanism::Redhip
-                | Mechanism::Cbf
-                | Mechanism::LevelPred
-                | Mechanism::Perceptron
-                | Mechanism::WayMemo
-        )
-    }
-}
-
-/// CBF design knobs (Table/§II parameters of the baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// CBF design knobs (Table/§II parameters of the baseline). Like the
+/// other parameter blocks, its `Default` is all zeros: [`SimConfig::new`]
+/// sets the mechanism table's defaults, and the table holds each key's
+/// range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CbfParams {
     /// Bits per counter.
     pub counter_bits: u32,
@@ -71,57 +19,21 @@ pub struct CbfParams {
     pub num_hashes: u32,
 }
 
-impl Default for CbfParams {
-    fn default() -> Self {
-        Self {
-            counter_bits: 4,
-            num_hashes: 1,
-        }
-    }
-}
-
-impl CbfParams {
-    /// Checks the knobs against what the filter can be built with: 1 to 8
-    /// bits per counter and at least one hash function.
-    pub(crate) fn check(&self) -> Result<(), String> {
-        if !(1..=8).contains(&self.counter_bits) {
-            return Err(format!(
-                "`bits` for `cbf` must be in 1..=8 (got {})",
-                self.counter_bits
-            ));
-        }
-        if self.num_hashes == 0 {
-            return Err("`hashes` for `cbf` must be at least 1 (got 0)".into());
-        }
-        Ok(())
-    }
-}
-
 /// LevelPred design knobs (used when `mechanism == LevelPred`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LevelPredParams {
     /// Minimum confidence for a prediction to steer the lookup; below it
     /// the access falls back to the full in-order walk. A threshold above
     /// `conf_max` makes LevelPred degenerate to Base pricing.
     pub conf_threshold: u32,
     /// Saturation point of the per-entry confidence counters.
-    pub conf_max: u32,
+    pub conf_max: u8,
     /// Extra cycles charged per steered lookup that missed its level.
-    pub mispredict_penalty: u64,
-}
-
-impl Default for LevelPredParams {
-    fn default() -> Self {
-        Self {
-            conf_threshold: 2,
-            conf_max: 3,
-            mispredict_penalty: 8,
-        }
-    }
+    pub mispredict_penalty: u32,
 }
 
 /// PerceptronOffChip design knobs (used when `mechanism == Perceptron`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PerceptronParams {
     /// Confidence threshold θ: a weight sum ≥ θ gates the DRAM bypass.
     pub theta: i32,
@@ -129,31 +41,13 @@ pub struct PerceptronParams {
     pub history_bits: u32,
 }
 
-impl Default for PerceptronParams {
-    fn default() -> Self {
-        Self {
-            theta: 12,
-            history_bits: 8,
-        }
-    }
-}
-
 /// WayMemo design knobs (used when `mechanism == WayMemo`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WayMemoParams {
     /// Memo slots per core (rounded down to a power of two).
     pub entries: u32,
     /// Extra cycles charged when a stale memo entry fires.
-    pub stale_penalty: u64,
-}
-
-impl Default for WayMemoParams {
-    fn default() -> Self {
-        Self {
-            entries: 256,
-            stale_penalty: 1,
-        }
-    }
+    pub stale_penalty: u32,
 }
 
 /// Which event classes are charged dynamic energy.
@@ -219,7 +113,7 @@ impl SimConfig {
     /// A ready-to-run configuration for `mechanism` on `platform` with the
     /// paper's defaults for everything else.
     pub fn new(platform: PlatformSpec, mechanism: Mechanism) -> Self {
-        Self {
+        let mut cfg = Self {
             platform,
             mechanism,
             policy: InclusionPolicy::Inclusive,
@@ -237,7 +131,9 @@ impl SimConfig {
             count_prediction_overhead: true,
             accounting: AccountingOptions::default(),
             address_space_bit: 44,
-        }
+        };
+        crate::mechanism::reset_keys(&mut cfg);
+        cfg
     }
 
     /// Effective prediction-table capacity in bytes.
@@ -276,75 +172,63 @@ impl SimConfig {
                  entry can hold"
             ));
         }
-        if self.policy == InclusionPolicy::Exclusive
-            && !matches!(self.mechanism, Mechanism::Base | Mechanism::Redhip)
-        {
-            return Err(format!(
-                "{} is undefined for a fully exclusive hierarchy: absence \
-                 from the LLC does not imply absence on chip (§III-C gives \
-                 ReDHiP per-level tables; Base needs no predictor)",
-                self.mechanism.name()
-            ));
-        }
-        if matches!(
-            self.mechanism,
-            Mechanism::LevelPred | Mechanism::Perceptron | Mechanism::WayMemo
-        ) && self.policy != InclusionPolicy::Inclusive
-        {
-            return Err(format!(
-                "{} is modelled for the inclusive hierarchy only (its \
-                 recalibration scrub and steering penalties assume L1 ⊆ LLC)",
-                self.mechanism.name()
-            ));
-        }
+        self.mechanism.row().check(self)?;
         if self.prefetch.is_some() && self.policy != InclusionPolicy::Inclusive {
             return Err("prefetching is modelled for the inclusive hierarchy only".into());
         }
+        // The predictor budget, whenever it sizes a table or is given.
+        let llc = self.platform.llc().capacity_bytes;
         let pt_bytes = self.effective_pt_bytes();
-        match (self.mechanism, self.policy) {
+        if (self.mechanism.has_predictor() || self.pt_bytes.is_some())
+            && !(1..=llc).contains(&pt_bytes)
+        {
+            return Err(format!(
+                "pt-bytes must be in 1..={llc}, the LLC's capacity (got {pt_bytes})"
+            ));
+        }
+        // Cross-field rules, which depend on the platform.
+        let violation = match (self.mechanism, self.policy) {
             (Mechanism::Cbf, _) => {
-                self.cbf.check()?;
-                if pt_bytes.saturating_mul(8) / u64::from(self.cbf.counter_bits) < 2 {
-                    return Err(format!(
-                        "a {pt_bytes}-byte predictor budget holds fewer than 2 {}-bit CBF counters",
-                        self.cbf.counter_bits
-                    ));
-                }
+                // A w-bit index tells apart at most w members of the
+                // xor-hash family (narrower indices fold them together),
+                // so n hashes need at least 2^n counters.
+                let (bits, hashes) = (self.cbf.counter_bits, self.cbf.num_hashes);
+                let need = 1u64 << hashes;
+                (pt_bytes * 8 / u64::from(bits) < need).then(|| {
+                    format!(
+                        "a {pt_bytes}-byte predictor budget holds fewer than {need} {bits}-bit \
+                         CBF counters, the fewest {hashes} distinct hashes can index"
+                    )
+                })
             }
-            (Mechanism::Redhip, InclusionPolicy::Exclusive) => {
-                let llc = self.platform.llc().capacity_bytes;
-                if pt_bytes == 0 || pt_bytes >= llc {
-                    return Err(format!(
-                        "prediction-table size must be between 1 and {} bytes, below the \
-                         {llc}-byte LLC (got {pt_bytes})",
-                        llc - 1
-                    ));
-                }
-            }
-            (Mechanism::Redhip, _) => {
-                // 8 × bytes one-bit entries, indexed by a mask.
-                let llc = self.platform.llc().capacity_bytes;
-                if !pt_bytes.is_power_of_two() || pt_bytes > llc {
-                    return Err(format!(
-                        "prediction-table size must be a power of two no larger than the \
-                         {llc}-byte LLC, so that it holds a power-of-two number of 1-bit \
-                         entries (got {pt_bytes})"
-                    ));
-                }
-            }
+            (Mechanism::Redhip, InclusionPolicy::Exclusive) => (pt_bytes == llc).then(|| {
+                format!(
+                    "pt-bytes must be below the {llc}-byte LLC for the exclusive per-cache \
+                     tables (got {pt_bytes})"
+                )
+            }),
+            // 8 × bytes one-bit entries, indexed by a mask.
+            (Mechanism::Redhip, _) => (!pt_bytes.is_power_of_two()).then(|| {
+                format!(
+                    "pt-bytes must be a power of two, so that the table holds a power-of-two \
+                     number of 1-bit entries (got {pt_bytes})"
+                )
+            }),
+            // Each core's memo holds `entries` 8-byte slots.
             (Mechanism::WayMemo, _) => {
-                // Each core's memo holds `entries` 8-byte slots.
-                let llc = self.platform.llc().capacity_bytes;
                 let entries = self.way_memo.entries;
-                if u64::from(entries) * 8 > llc {
-                    return Err(format!(
+                (u64::from(entries) * 8 > llc).then(|| {
+                    format!(
                         "way-memo entries must fit in the {llc}-byte LLC at 8 bytes each, \
                          at most {} (got entries={entries})",
                         llc / 8
-                    ));
-                }
+                    )
+                })
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some(e) = violation {
+            return Err(e);
         }
         if self.avg_cpi <= 0.0 {
             return Err("avg_cpi must be positive".into());
@@ -356,134 +240,12 @@ impl SimConfig {
     }
 }
 
-impl ToJson for Mechanism {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                Mechanism::Base => "Base",
-                Mechanism::Redhip => "Redhip",
-                Mechanism::Cbf => "Cbf",
-                Mechanism::Phased => "Phased",
-                Mechanism::Oracle => "Oracle",
-                Mechanism::LevelPred => "LevelPred",
-                Mechanism::Perceptron => "Perceptron",
-                Mechanism::WayMemo => "WayMemo",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for Mechanism {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
-            Some("Base") => Ok(Mechanism::Base),
-            Some("Redhip") => Ok(Mechanism::Redhip),
-            Some("Cbf") => Ok(Mechanism::Cbf),
-            Some("Phased") => Ok(Mechanism::Phased),
-            Some("Oracle") => Ok(Mechanism::Oracle),
-            Some("LevelPred") => Ok(Mechanism::LevelPred),
-            Some("Perceptron") => Ok(Mechanism::Perceptron),
-            Some("WayMemo") => Ok(Mechanism::WayMemo),
-            _ => Err(format!("not a Mechanism: {v:?}")),
-        }
-    }
-}
-
-impl ToJson for CbfParams {
-    fn to_json(&self) -> Json {
-        json!({
-            "counter_bits": self.counter_bits,
-            "num_hashes": self.num_hashes,
-        })
-    }
-}
-
-impl FromJson for CbfParams {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            counter_bits: v.u64_of("counter_bits")? as u32,
-            num_hashes: v.u64_of("num_hashes")? as u32,
-        })
-    }
-}
-
-impl ToJson for LevelPredParams {
-    fn to_json(&self) -> Json {
-        json!({
-            "conf_threshold": self.conf_threshold,
-            "conf_max": self.conf_max,
-            "mispredict_penalty": self.mispredict_penalty,
-        })
-    }
-}
-
-impl FromJson for LevelPredParams {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            conf_threshold: v.u64_of("conf_threshold")? as u32,
-            conf_max: v.u64_of("conf_max")? as u32,
-            mispredict_penalty: v.u64_of("mispredict_penalty")?,
-        })
-    }
-}
-
-impl ToJson for PerceptronParams {
-    fn to_json(&self) -> Json {
-        json!({
-            "theta": i64::from(self.theta),
-            "history_bits": self.history_bits,
-        })
-    }
-}
-
-impl FromJson for PerceptronParams {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            theta: v
-                .member("theta")?
-                .as_i64()
-                .ok_or_else(|| "member `theta` is not an i64".to_string())?
-                as i32,
-            history_bits: v.u64_of("history_bits")? as u32,
-        })
-    }
-}
-
-impl ToJson for WayMemoParams {
-    fn to_json(&self) -> Json {
-        json!({
-            "entries": self.entries,
-            "stale_penalty": self.stale_penalty,
-        })
-    }
-}
-
-impl FromJson for WayMemoParams {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            entries: v.u64_of("entries")? as u32,
-            stale_penalty: v.u64_of("stale_penalty")?,
-        })
-    }
-}
-
 impl ToJson for AccountingOptions {
     fn to_json(&self) -> Json {
         json!({
             "charge_fills": self.charge_fills,
             "charge_writebacks": self.charge_writebacks,
             "charge_invalidation_probes": self.charge_invalidation_probes,
-        })
-    }
-}
-
-impl FromJson for AccountingOptions {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(Self {
-            charge_fills: v.bool_of("charge_fills")?,
-            charge_writebacks: v.bool_of("charge_writebacks")?,
-            charge_invalidation_probes: v.bool_of("charge_invalidation_probes")?,
         })
     }
 }
@@ -499,71 +261,32 @@ impl ToJson for SimConfig {
             "pt_bytes": Json::from(self.pt_bytes),
             "recalib_period": Json::from(self.recalib_period),
             "recalib_banks": self.recalib_banks,
-            "cbf": self.cbf.to_json(),
-            "avg_cpi": self.avg_cpi,
-            "refs_per_core": self.refs_per_core,
-            "count_prediction_overhead": self.count_prediction_overhead,
-            "accounting": self.accounting.to_json(),
-            "address_space_bit": self.address_space_bit,
         });
-        // Mechanism-specific parameter blocks are emitted only for the
-        // mechanism that owns them. That keeps every pre-registry
-        // serialization (goldens, sweep canonical keys, disk caches)
-        // byte-identical while still folding the full predictor spec into
-        // the canonical key — two LevelPred configs that differ only in a
-        // confidence threshold get different keys.
-        match self.mechanism {
-            Mechanism::LevelPred => doc.set("level_pred", self.level_pred.to_json()),
-            Mechanism::Perceptron => doc.set("perceptron", self.perceptron.to_json()),
-            Mechanism::WayMemo => doc.set("way_memo", self.way_memo.to_json()),
-            _ => {}
+        // The CBF parameter block predates the other mechanisms and is
+        // written for every mechanism; each other block is appended only
+        // for the mechanism that owns it. That keeps every serialization
+        // written before a block existed (goldens, sweep canonical keys,
+        // disk caches) byte-identical while still folding the full
+        // predictor spec into the canonical key.
+        let cbf = Mechanism::Cbf.row();
+        doc.set(&cbf.block(), cbf.params_json(self));
+        for (key, value) in [
+            ("avg_cpi", Json::from(self.avg_cpi)),
+            ("refs_per_core", Json::from(self.refs_per_core)),
+            (
+                "count_prediction_overhead",
+                Json::from(self.count_prediction_overhead),
+            ),
+            ("accounting", self.accounting.to_json()),
+            ("address_space_bit", Json::from(self.address_space_bit)),
+        ] {
+            doc.set(key, value);
+        }
+        let own = self.mechanism.row();
+        if !own.keys.is_empty() {
+            doc.set(&own.block(), own.params_json(self));
         }
         doc
-    }
-}
-
-impl FromJson for SimConfig {
-    fn from_json(v: &Json) -> Result<Self, String> {
-        let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-            match v.member(key)? {
-                Json::Null => Ok(None),
-                other => other
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("{key}: not a u64")),
-            }
-        };
-        Ok(Self {
-            platform: energy_model::PlatformSpec::from_json(v.member("platform")?)?,
-            mechanism: Mechanism::from_json(v.member("mechanism")?)?,
-            policy: InclusionPolicy::from_json(v.member("policy")?)?,
-            replacement: ReplacementPolicy::from_json(v.member("replacement")?)?,
-            prefetch: match v.member("prefetch")? {
-                Json::Null => None,
-                other => Some(StrideConfig::from_json(other)?),
-            },
-            pt_bytes: opt_u64("pt_bytes")?,
-            recalib_period: opt_u64("recalib_period")?,
-            recalib_banks: v.u64_of("recalib_banks")?,
-            cbf: CbfParams::from_json(v.member("cbf")?)?,
-            level_pred: match v.get("level_pred") {
-                Some(p) => LevelPredParams::from_json(p)?,
-                None => LevelPredParams::default(),
-            },
-            perceptron: match v.get("perceptron") {
-                Some(p) => PerceptronParams::from_json(p)?,
-                None => PerceptronParams::default(),
-            },
-            way_memo: match v.get("way_memo") {
-                Some(p) => WayMemoParams::from_json(p)?,
-                None => WayMemoParams::default(),
-            },
-            avg_cpi: v.f64_of("avg_cpi")?,
-            refs_per_core: v.u64_of("refs_per_core")? as usize,
-            count_prediction_overhead: v.bool_of("count_prediction_overhead")?,
-            accounting: AccountingOptions::from_json(v.member("accounting")?)?,
-            address_space_bit: v.u64_of("address_space_bit")? as u32,
-        })
     }
 }
 
@@ -677,7 +400,7 @@ mod tests {
     #[test]
     fn predictor_budgets_the_tables_cannot_be_built_with_are_rejected() {
         let mut c = SimConfig::new(demo_scale(), Mechanism::Redhip);
-        for bad in [0, 3, 96 << 10, 16 << 20] {
+        for bad in [3, 96 << 10] {
             c.pt_bytes = Some(bad);
             let err = c.validate().unwrap_err();
             assert!(err.contains("power of two"), "{err}");
@@ -685,8 +408,8 @@ mod tests {
         c.pt_bytes = Some(1);
         assert!(c.validate().is_ok());
         c.policy = InclusionPolicy::Exclusive;
-        c.pt_bytes = Some(0);
-        assert!(c.validate().is_err());
+        c.pt_bytes = Some(8 << 20);
+        assert!(c.validate().unwrap_err().contains("below the"));
         c.pt_bytes = Some(96 << 10);
         assert!(c.validate().is_ok(), "the exclusive bank rounds any size");
 
@@ -701,10 +424,51 @@ mod tests {
         assert!(c.validate().unwrap_err().contains("fewer than 2"));
         c.pt_bytes = None;
         c.cbf.counter_bits = 0;
-        assert!(c.validate().unwrap_err().contains("1..=8"));
+        assert!(c.validate().unwrap_err().contains("`cbf:bits`"));
         c.cbf.counter_bits = 4;
         c.cbf.num_hashes = 0;
-        assert!(c.validate().unwrap_err().contains("at least 1"));
+        assert!(c.validate().unwrap_err().contains("1..=3"));
+    }
+
+    #[test]
+    fn every_budget_outside_one_byte_to_the_llc_is_rejected_naming_pt_bytes() {
+        for m in [
+            Mechanism::Redhip,
+            Mechanism::Cbf,
+            Mechanism::LevelPred,
+            Mechanism::Perceptron,
+            Mechanism::WayMemo,
+            Mechanism::Base,
+        ] {
+            let mut c = SimConfig::new(demo_scale(), m);
+            let llc = c.platform.llc().capacity_bytes;
+            c.pt_bytes = Some(llc);
+            assert!(c.validate().is_ok(), "{m:?}");
+            for bad in [0, llc + 1, 1 << 40, u64::MAX] {
+                c.pt_bytes = Some(bad);
+                let err = c.validate().unwrap_err();
+                assert!(err.contains("pt-bytes must be in 1..="), "{m:?}: {err}");
+            }
+        }
+        // A budget nobody gave sizes nothing for the predictorless.
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Oracle);
+        c.platform.predictor.size_bytes = 0;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn cbf_hashes_need_an_index_that_tells_them_apart() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Cbf);
+        c.cbf.counter_bits = 8;
+        // n bytes of 8-bit counters index n counters: 2^hashes needed.
+        for (bytes, hashes, ok) in [(2, 1, true), (3, 2, false), (4, 2, true), (7, 3, false)] {
+            c.pt_bytes = Some(bytes);
+            c.cbf.num_hashes = hashes;
+            let r = c.validate();
+            assert_eq!(r.is_ok(), ok, "{bytes} B, {hashes} hashes: {r:?}");
+        }
+        c.pt_bytes = Some(8);
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -782,8 +546,8 @@ mod tests {
 
     #[test]
     fn param_blocks_serialize_only_for_their_mechanism() {
-        // The JSON of a pre-registry mechanism must not change — sweep
-        // canonical keys and golden snapshots depend on it byte-for-byte.
+        // The JSON of a mechanism without a block must not change: sweep
+        // canonical keys and golden snapshots depend on it byte for byte.
         let base = SimConfig::new(demo_scale(), Mechanism::Base).to_json();
         assert!(base.get("level_pred").is_none());
         assert!(base.get("perceptron").is_none());
@@ -797,23 +561,29 @@ mod tests {
             Ok(5)
         );
         assert!(doc.get("perceptron").is_none());
-        let back = SimConfig::from_json(&doc).unwrap();
-        assert_eq!(back.level_pred, c.level_pred);
-
-        let p = SimConfig::new(demo_scale(), Mechanism::Perceptron);
-        let back = SimConfig::from_json(&p.to_json()).unwrap();
-        assert_eq!(back.perceptron, p.perceptron);
-        let w = SimConfig::new(demo_scale(), Mechanism::WayMemo);
-        let back = SimConfig::from_json(&w.to_json()).unwrap();
-        assert_eq!(back.way_memo, w.way_memo);
     }
 
     #[test]
-    fn config_serializes() {
-        let c = SimConfig::new(demo_scale(), Mechanism::Base);
-        let s = c.to_json().dump();
-        let back = SimConfig::from_json(&minijson::parse(&s).unwrap()).unwrap();
-        assert_eq!(back.mechanism, Mechanism::Base);
-        assert_eq!(back.refs_per_core, c.refs_per_core);
+    fn config_json_keeps_its_member_order_and_values() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Perceptron);
+        c.perceptron.theta = -3;
+        let text = c.to_json().dump();
+        let order = [
+            "\"recalib_banks\":4,\"cbf\":{\"counter_bits\":4,\"num_hashes\":1},\"avg_cpi\":1.5,",
+            "\"address_space_bit\":44,\"perceptron\":{\"theta\":-3,\"history_bits\":8}}",
+        ];
+        for part in order {
+            assert!(text.contains(part), "{text}");
+        }
+        let mut c = SimConfig::new(demo_scale(), Mechanism::Cbf);
+        c.cbf.num_hashes = 2;
+        let text = c.to_json().dump();
+        assert!(
+            text.contains(
+                "\"recalib_banks\":4,\"cbf\":{\"counter_bits\":4,\"num_hashes\":2},\"avg_cpi\""
+            ),
+            "{text}"
+        );
+        assert!(text.ends_with("\"address_space_bit\":44}"), "{text}");
     }
 }

@@ -12,7 +12,7 @@
 //! * **Phased** — no predictor; L3/L4 serialize tag → data.
 //! * **Oracle** — perfect LLC-residency knowledge at zero cost.
 //! * **LevelPred** — per-load predicted hit level steers the lookup order
-//!   ([`predictor`] registry, arXiv:2103.14808).
+//!   (arXiv:2103.14808).
 //! * **Perceptron** — hashed perceptron gating the DRAM bypass behind a
 //!   confidence threshold (arXiv:2403.15181).
 //! * **WayMemo** — tag-way read skipping on memoized re-touched blocks
@@ -25,24 +25,27 @@
 //! Energy events come from the per-access [`cache_sim::Traversal`] log and
 //! are priced by `energy-model`.
 //!
+//! [`MECHANISMS`] describes each mechanism once: its names, policies and
+//! spec keys with their ranges ([`apply_spec`], [`spec_string`]).
+//!
 //! Entry points: [`config::SimConfig`] → [`run::run_traces`] →
 //! [`run::RunResult`]; [`metrics`] computes the paper's derived quantities
 //! (speedup, normalized dynamic energy, the performance-energy metric).
 
 pub mod config;
+mod mechanism;
 pub mod metrics;
-pub mod predictor;
+mod predictor;
 pub mod report;
 pub mod run;
 pub mod stats;
 pub mod system;
 
 pub use config::{
-    AccountingOptions, CbfParams, LevelPredParams, Mechanism, PerceptronParams, SimConfig,
-    WayMemoParams,
+    AccountingOptions, CbfParams, LevelPredParams, PerceptronParams, SimConfig, WayMemoParams,
 };
+pub use mechanism::{apply_spec, spec_string, Key, Mechanism, Row, MECHANISMS};
 pub use metrics::Comparison;
-pub use predictor::{parse_spec, spec_string, MechanismInfo, ParsedSpec, REGISTRY};
 pub use run::{run_feeds, run_feeds_with, run_traces, run_traces_with, CoreFeed, RunResult};
 pub use stats::{PredictionStats, PrefetchSummary};
 pub use system::System;

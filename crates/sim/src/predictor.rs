@@ -1,23 +1,18 @@
-//! The mechanism registry and the predictor `System` consults.
+//! The predictor `System` consults.
 //!
-//! The registry owns the user-facing *spec strings*
-//! (`level-pred:conf=2,max=3,penalty=8`): [`parse_spec`] turns one into a
-//! mechanism plus parameter overrides, [`spec_string`] prints a config's
-//! canonical spec. The canonical print is embedded in run manifests so two
-//! configs of the same mechanism with different parameters never alias.
-//!
-//! The predictor itself is one crate-private enum over the concrete
-//! tables: none (Base, Phased), the Oracle, ReDHiP's 1-bit table, the
-//! exact table ReDHiP uses at recalibration period 1, the counting Bloom
-//! filter, the exclusive configuration's per-cache bank, LevelPred, the
-//! perceptron and WayMemo. `System` probes it on every L1 miss, trains it
-//! with the walk's outcome, feeds it the cache's fills and evictions and
-//! recalibrates it. Every call is one match over that closed set, so the
-//! ReDHiP probe stays a single load and mask.
+//! One crate-private enum over the concrete tables: none (Base, Phased),
+//! the Oracle, ReDHiP's 1-bit table, the exact table ReDHiP uses at
+//! recalibration period 1, the counting Bloom filter, the exclusive
+//! configuration's per-cache bank, LevelPred, the perceptron and WayMemo.
+//! [`Predictor::new`] builds the one a configuration selects from its typed
+//! parameter fields, which the mechanism table
+//! ([`crate::mechanism::MECHANISMS`]) has checked. `System` probes it on
+//! every L1 miss, trains it with the walk's outcome, feeds it the cache's
+//! fills and evictions and recalibrates it. Every call is one match over
+//! that closed set, so the ReDHiP probe stays a single load and mask.
 
-use crate::config::{
-    CbfParams, LevelPredParams, Mechanism, PerceptronParams, SimConfig, WayMemoParams,
-};
+use crate::config::SimConfig;
+use crate::mechanism::Mechanism;
 use cache_sim::hierarchy::{DeepHierarchy, InclusionPolicy};
 use cache_sim::traversal::{LevelId, Traversal};
 use energy_model::{CacheSpec, PredictorSpec};
@@ -25,212 +20,6 @@ use redhip::{
     CbfConfig, CountingBloomFilter, ExactCountingTable, LevelPredictor, OffChipPerceptron,
     PredictionTable, RecalibCost, RecalibrationEngine, WayMemo, LEVEL_MEMORY, LEVEL_UNTRAINED,
 };
-
-// ---------------------------------------------------------------- registry
-
-/// One registered mechanism: its spec-string name and metadata.
-#[derive(Debug, Clone, Copy)]
-pub struct MechanismInfo {
-    /// Spec-string name (`--mechanism <spec_name>[:k=v,...]`).
-    pub spec_name: &'static str,
-    /// The `Mechanism` it selects.
-    pub mechanism: Mechanism,
-    /// One-line semantics for `--help`/docs.
-    pub summary: &'static str,
-}
-
-/// Every mechanism the spec parser knows, in presentation order.
-pub const REGISTRY: [MechanismInfo; 8] = [
-    MechanismInfo {
-        spec_name: "base",
-        mechanism: Mechanism::Base,
-        summary: "no prediction; every level reads all tag+data ways in parallel",
-    },
-    MechanismInfo {
-        spec_name: "redhip",
-        mechanism: Mechanism::Redhip,
-        summary: "recalibrated 1-bit LLC-residency table gating DRAM bypass",
-    },
-    MechanismInfo {
-        spec_name: "cbf",
-        mechanism: Mechanism::Cbf,
-        summary: "counting Bloom filter tracking LLC residency at equal area",
-    },
-    MechanismInfo {
-        spec_name: "phased",
-        mechanism: Mechanism::Phased,
-        summary: "L3/L4 serialize tag then data access; no predictor",
-    },
-    MechanismInfo {
-        spec_name: "oracle",
-        mechanism: Mechanism::Oracle,
-        summary: "perfect zero-overhead LLC-residency prediction",
-    },
-    MechanismInfo {
-        spec_name: "level-pred",
-        mechanism: Mechanism::LevelPred,
-        summary: "per-load predicted hit level steers the lookup order",
-    },
-    MechanismInfo {
-        spec_name: "perceptron",
-        mechanism: Mechanism::Perceptron,
-        summary: "hashed perceptron with confidence threshold gating DRAM bypass",
-    },
-    MechanismInfo {
-        spec_name: "way-memo",
-        mechanism: Mechanism::WayMemo,
-        summary: "tag-way read skipping on memoized re-touched blocks",
-    },
-];
-
-/// A parsed `--mechanism` spec: the mechanism plus parameter overrides
-/// (fields not named in the spec keep their defaults).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedSpec {
-    /// Selected mechanism.
-    pub mechanism: Mechanism,
-    /// CBF parameters (`cbf:bits=..,hashes=..`).
-    pub cbf: CbfParams,
-    /// LevelPred parameters (`level-pred:conf=..,max=..,penalty=..`).
-    pub level_pred: LevelPredParams,
-    /// Perceptron parameters (`perceptron:theta=..,history=..`).
-    pub perceptron: PerceptronParams,
-    /// WayMemo parameters (`way-memo:entries=..,penalty=..`).
-    pub way_memo: WayMemoParams,
-}
-
-impl ParsedSpec {
-    /// A spec selecting `mechanism` with all-default parameters.
-    pub fn new(mechanism: Mechanism) -> Self {
-        Self {
-            mechanism,
-            cbf: CbfParams::default(),
-            level_pred: LevelPredParams::default(),
-            perceptron: PerceptronParams::default(),
-            way_memo: WayMemoParams::default(),
-        }
-    }
-
-    /// Applies the spec to a configuration.
-    pub fn apply(&self, cfg: &mut SimConfig) {
-        cfg.mechanism = self.mechanism;
-        cfg.cbf = self.cbf;
-        cfg.level_pred = self.level_pred;
-        cfg.perceptron = self.perceptron;
-        cfg.way_memo = self.way_memo;
-    }
-}
-
-fn known_keys(mechanism: Mechanism) -> &'static [&'static str] {
-    match mechanism {
-        Mechanism::Cbf => &["bits", "hashes"],
-        Mechanism::LevelPred => &["conf", "max", "penalty"],
-        Mechanism::Perceptron => &["theta", "history"],
-        Mechanism::WayMemo => &["entries", "penalty"],
-        _ => &[],
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("value `{value}` for key `{key}` is not a number"))
-}
-
-/// Parses a `--mechanism` spec string: a registry name, optionally
-/// followed by `:key=value,...` parameters. Errors name every known
-/// mechanism (for an unknown name) or every key the mechanism takes (for
-/// an unknown key).
-pub fn parse_spec(s: &str) -> Result<ParsedSpec, String> {
-    let (name, params) = match s.split_once(':') {
-        Some((n, p)) => (n, Some(p)),
-        None => (s, None),
-    };
-    let info = REGISTRY
-        .iter()
-        .find(|i| i.spec_name == name)
-        .ok_or_else(|| {
-            let known: Vec<&str> = REGISTRY.iter().map(|i| i.spec_name).collect();
-            format!(
-                "unknown mechanism `{name}`; known mechanisms: {}",
-                known.join(", ")
-            )
-        })?;
-    let mut spec = ParsedSpec::new(info.mechanism);
-    let Some(params) = params else {
-        return Ok(spec);
-    };
-    for kv in params.split(',').filter(|p| !p.is_empty()) {
-        let (key, value) = kv
-            .split_once('=')
-            .ok_or_else(|| format!("malformed parameter `{kv}` (expected key=value)"))?;
-        let keys = known_keys(info.mechanism);
-        if !keys.contains(&key) {
-            return Err(if keys.is_empty() {
-                format!("mechanism `{name}` takes no parameters (got `{key}`)")
-            } else {
-                format!(
-                    "unknown key `{key}` for `{name}`; known keys: {}",
-                    keys.join(", ")
-                )
-            });
-        }
-        match (info.mechanism, key) {
-            (Mechanism::Cbf, "bits") => spec.cbf.counter_bits = parse_num(key, value)?,
-            (Mechanism::Cbf, "hashes") => spec.cbf.num_hashes = parse_num(key, value)?,
-            (Mechanism::LevelPred, "conf") => {
-                spec.level_pred.conf_threshold = parse_num(key, value)?
-            }
-            (Mechanism::LevelPred, "max") => spec.level_pred.conf_max = parse_num(key, value)?,
-            (Mechanism::LevelPred, "penalty") => {
-                spec.level_pred.mispredict_penalty = parse_num(key, value)?
-            }
-            (Mechanism::Perceptron, "theta") => spec.perceptron.theta = parse_num(key, value)?,
-            (Mechanism::Perceptron, "history") => {
-                spec.perceptron.history_bits = parse_num(key, value)?
-            }
-            (Mechanism::WayMemo, "entries") => spec.way_memo.entries = parse_num(key, value)?,
-            (Mechanism::WayMemo, "penalty") => spec.way_memo.stale_penalty = parse_num(key, value)?,
-            _ => unreachable!("key membership checked above"),
-        }
-    }
-    if spec.mechanism == Mechanism::Cbf {
-        spec.cbf.check()?;
-    }
-    Ok(spec)
-}
-
-/// The canonical spec string of a configuration: parameter-bearing
-/// mechanisms print every parameter, so distinct parameterizations print
-/// distinct specs. `parse_spec(spec_string(cfg))` round-trips.
-pub fn spec_string(cfg: &SimConfig) -> String {
-    match cfg.mechanism {
-        Mechanism::Base => "base".into(),
-        Mechanism::Redhip => "redhip".into(),
-        Mechanism::Phased => "phased".into(),
-        Mechanism::Oracle => "oracle".into(),
-        Mechanism::Cbf => format!(
-            "cbf:bits={},hashes={}",
-            cfg.cbf.counter_bits, cfg.cbf.num_hashes
-        ),
-        Mechanism::LevelPred => format!(
-            "level-pred:conf={},max={},penalty={}",
-            cfg.level_pred.conf_threshold,
-            cfg.level_pred.conf_max,
-            cfg.level_pred.mispredict_penalty
-        ),
-        Mechanism::Perceptron => format!(
-            "perceptron:theta={},history={}",
-            cfg.perceptron.theta, cfg.perceptron.history_bits
-        ),
-        Mechanism::WayMemo => format!(
-            "way-memo:entries={},penalty={}",
-            cfg.way_memo.entries, cfg.way_memo.stale_penalty
-        ),
-    }
-}
-
-// ---------------------------------------------------------------- predictor
 
 /// A [`Steer::Lookup`] mask naming every level below L1.
 pub(crate) const ALL_LEVELS: u8 = !0;
@@ -330,12 +119,9 @@ impl Predictor {
                 Self::Table { table, engine }
             }
             (Mechanism::LevelPred, _) => Self::LevelPred {
-                table: LevelPredictor::from_capacity_bytes(
-                    pt_bytes,
-                    cfg.level_pred.conf_max.min(u32::from(u8::MAX)) as u8,
-                ),
+                table: LevelPredictor::from_capacity_bytes(pt_bytes, cfg.level_pred.conf_max),
                 conf_threshold: cfg.level_pred.conf_threshold,
-                penalty: cfg.level_pred.mispredict_penalty,
+                penalty: cfg.level_pred.mispredict_penalty.into(),
             },
             (Mechanism::Perceptron, _) => Self::Perceptron(OffChipPerceptron::from_capacity_bytes(
                 pt_bytes,
@@ -347,7 +133,7 @@ impl Predictor {
                 memos: (0..p.cores)
                     .map(|_| WayMemo::with_entries(u64::from(cfg.way_memo.entries)))
                     .collect(),
-                penalty: cfg.way_memo.stale_penalty,
+                penalty: cfg.way_memo.stale_penalty.into(),
             },
         }
     }
@@ -691,86 +477,6 @@ mod tests {
     use energy_model::presets::demo_scale;
 
     #[test]
-    fn registry_covers_every_mechanism_once() {
-        for m in [
-            Mechanism::Base,
-            Mechanism::Redhip,
-            Mechanism::Cbf,
-            Mechanism::Phased,
-            Mechanism::Oracle,
-            Mechanism::LevelPred,
-            Mechanism::Perceptron,
-            Mechanism::WayMemo,
-        ] {
-            assert_eq!(
-                REGISTRY.iter().filter(|i| i.mechanism == m).count(),
-                1,
-                "{m:?}"
-            );
-        }
-        let mut names: Vec<&str> = REGISTRY.iter().map(|i| i.spec_name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), REGISTRY.len(), "spec names must be unique");
-    }
-
-    #[test]
-    fn parse_bare_names() {
-        for info in &REGISTRY {
-            let spec = parse_spec(info.spec_name).expect("bare name parses");
-            assert_eq!(spec.mechanism, info.mechanism);
-            assert_eq!(spec, ParsedSpec::new(info.mechanism));
-        }
-    }
-
-    #[test]
-    fn parse_with_parameters() {
-        let s = parse_spec("level-pred:conf=5,penalty=16").unwrap();
-        assert_eq!(s.mechanism, Mechanism::LevelPred);
-        assert_eq!(s.level_pred.conf_threshold, 5);
-        assert_eq!(s.level_pred.mispredict_penalty, 16);
-        assert_eq!(s.level_pred.conf_max, LevelPredParams::default().conf_max);
-        let s = parse_spec("perceptron:theta=-3").unwrap();
-        assert_eq!(s.perceptron.theta, -3);
-    }
-
-    #[test]
-    fn unknown_mechanism_lists_known_names() {
-        let err = parse_spec("ghost").unwrap_err();
-        assert!(err.contains("unknown mechanism `ghost`"), "{err}");
-        for info in &REGISTRY {
-            assert!(err.contains(info.spec_name), "{err}");
-        }
-    }
-
-    #[test]
-    fn unknown_key_lists_known_keys() {
-        let err = parse_spec("level-pred:confidence=2").unwrap_err();
-        assert!(err.contains("unknown key `confidence`"), "{err}");
-        assert!(err.contains("conf, max, penalty"), "{err}");
-        let err = parse_spec("base:x=1").unwrap_err();
-        assert!(err.contains("takes no parameters"), "{err}");
-        let err = parse_spec("way-memo:entries").unwrap_err();
-        assert!(err.contains("expected key=value"), "{err}");
-        let err = parse_spec("cbf:bits=lots").unwrap_err();
-        assert!(err.contains("not a number"), "{err}");
-    }
-
-    #[test]
-    fn spec_string_round_trips() {
-        let mut cfg = SimConfig::new(demo_scale(), Mechanism::LevelPred);
-        cfg.level_pred.conf_threshold = 7;
-        cfg.level_pred.mispredict_penalty = 3;
-        let s = spec_string(&cfg);
-        assert_eq!(s, "level-pred:conf=7,max=3,penalty=3");
-        let parsed = parse_spec(&s).unwrap();
-        let mut cfg2 = SimConfig::new(demo_scale(), Mechanism::Base);
-        parsed.apply(&mut cfg2);
-        assert_eq!(spec_string(&cfg2), s);
-        assert_eq!(cfg2.level_pred, cfg.level_pred);
-    }
-
-    #[test]
     fn new_builds_the_predictor_the_config_selects() {
         let build = |mechanism, configure: fn(&mut SimConfig)| {
             let mut cfg = SimConfig::new(demo_scale(), mechanism);
@@ -841,10 +547,10 @@ mod tests {
     /// Every predictor with state: ReDHiP's table, the exact table
     /// (period 1), CBF, LevelPred, Perceptron and WayMemo.
     fn conformance_configs() -> Vec<SimConfig> {
-        let mut cfgs: Vec<SimConfig> = REGISTRY
+        let mut cfgs: Vec<SimConfig> = crate::MECHANISMS
             .iter()
-            .filter(|i| i.mechanism.has_predictor())
-            .map(|i| SimConfig::new(demo_scale(), i.mechanism))
+            .filter(|r| r.has_predictor)
+            .map(|r| SimConfig::new(demo_scale(), r.mechanism))
             .collect();
         let mut exact = SimConfig::new(demo_scale(), Mechanism::Redhip);
         exact.recalib_period = Some(1);
@@ -859,7 +565,11 @@ mod tests {
         let configs = conformance_configs();
         let hierarchy = DeepHierarchy::new(&crate::system::hierarchy_config(&configs[0]));
         for cfg in &configs {
-            let label = format!("{} period {:?}", spec_string(cfg), cfg.recalib_period);
+            let label = format!(
+                "{} period {:?}",
+                crate::spec_string(cfg),
+                cfg.recalib_period
+            );
             check(&label, &hierarchy, Predictor::new(cfg), Predictor::new(cfg));
         }
     }

@@ -88,7 +88,8 @@ pub fn render(result: &RunResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Mechanism, SimConfig};
+    use crate::config::SimConfig;
+    use crate::mechanism::Mechanism;
     use crate::run::run_traces;
     use energy_model::presets::demo_scale;
     use mem_trace::record::TraceRecord;

@@ -320,7 +320,7 @@ pub fn run_feeds_with<O: SimObserver>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Mechanism;
+    use crate::mechanism::Mechanism;
     use energy_model::presets::demo_scale;
     use mem_trace::record::MemOp;
 

@@ -1,6 +1,7 @@
 //! The system model: cores, hierarchy, predictor, prefetcher, accounting.
 
-use crate::config::{Mechanism, SimConfig};
+use crate::config::SimConfig;
+use crate::mechanism::Mechanism;
 use crate::predictor::{Predictor, Steer, ALL_LEVELS};
 use crate::stats::{PredictionStats, PrefetchSummary};
 use cache_sim::hierarchy::{DeepHierarchy, HierarchyConfig};

@@ -1,11 +1,18 @@
-//! Registry-level property tests: spec-string round-trips over random
+//! Mechanism-table property tests: spec-string round-trips over random
 //! parameters and parser error quality. The predictor conformance suite
 //! (determinism, probe purity, recalibration idempotence and order
 //! independence) runs on the predictors `System` steps, so it lives beside
 //! them in `src/predictor.rs`.
 
 use energy_model::presets::demo_scale;
-use sim::{parse_spec, spec_string, Mechanism, SimConfig, REGISTRY};
+use minijson::ToJson;
+use sim::{apply_spec, spec_string, Mechanism, SimConfig, MECHANISMS};
+
+/// A demo-scale configuration with `spec` applied.
+fn applied(spec: &str) -> Result<SimConfig, String> {
+    let mut cfg = SimConfig::new(demo_scale(), Mechanism::Base);
+    apply_spec(&mut cfg, spec).map(|()| cfg)
+}
 
 fn splitmix(x: &mut u64) -> u64 {
     *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -22,7 +29,7 @@ fn random_spec(mechanism: Mechanism, st: &mut u64) -> Option<String> {
         Mechanism::Cbf => format!(
             "cbf:bits={},hashes={}",
             1 + splitmix(st) % 7,
-            1 + splitmix(st) % 4
+            1 + splitmix(st) % 3
         ),
         Mechanism::LevelPred => format!(
             "level-pred:conf={},max={},penalty={}",
@@ -44,57 +51,57 @@ fn random_spec(mechanism: Mechanism, st: &mut u64) -> Option<String> {
     })
 }
 
-/// Property: printing a parsed spec re-parses to the same spec, and the
-/// canonical print is a fixed point (`print(parse(print(x))) == print(x)`).
+/// Property: printing an applied spec re-applies to the same
+/// configuration, and the canonical print is a fixed point
+/// (`print(apply(print(x))) == print(x)`).
 #[test]
 fn spec_string_round_trips_over_random_parameters() {
     let mut st = 0x5EC5_7A1Eu64;
-    for info in &REGISTRY {
+    for row in &MECHANISMS {
         for _case in 0..32 {
-            let spec = match random_spec(info.mechanism, &mut st) {
+            let spec = match random_spec(row.mechanism, &mut st) {
                 Some(s) => s,
-                None => info.spec_name.to_string(),
+                None => row.spec.to_string(),
             };
-            let parsed = parse_spec(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
-            assert_eq!(parsed.mechanism, info.mechanism, "{spec}");
-            let mut cfg = SimConfig::new(demo_scale(), Mechanism::Base);
-            parsed.apply(&mut cfg);
+            let cfg = applied(&spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
+            assert_eq!(cfg.mechanism, row.mechanism, "{spec}");
             let printed = spec_string(&cfg);
-            let reparsed = parse_spec(&printed).unwrap_or_else(|e| panic!("{printed}: {e}"));
+            let back = applied(&printed).unwrap_or_else(|e| panic!("{printed}: {e}"));
             assert_eq!(
-                parsed, reparsed,
+                cfg.to_json().dump(),
+                back.to_json().dump(),
                 "round-trip changed `{spec}` → `{printed}`"
             );
-            let mut cfg2 = SimConfig::new(demo_scale(), Mechanism::Base);
-            reparsed.apply(&mut cfg2);
-            assert_eq!(printed, spec_string(&cfg2), "print is not a fixed point");
+            assert_eq!(printed, spec_string(&back), "print is not a fixed point");
         }
     }
 }
 
 #[test]
 fn parser_errors_name_the_alternatives() {
-    let err = parse_spec("markov").unwrap_err();
+    let err = applied("markov").unwrap_err();
     assert!(err.contains("unknown mechanism `markov`"), "{err}");
-    for info in &REGISTRY {
-        assert!(
-            err.contains(info.spec_name),
-            "{err}: missing {}",
-            info.spec_name
-        );
+    for row in &MECHANISMS {
+        assert!(err.contains(row.spec), "{err}: missing {}", row.spec);
     }
-    let err = parse_spec("perceptron:weights=4").unwrap_err();
+    let err = applied("perceptron:weights=4").unwrap_err();
     assert!(err.contains("unknown key `weights`"), "{err}");
     assert!(err.contains("theta, history"), "{err}");
-    let err = parse_spec("oracle:x=1").unwrap_err();
+    let err = applied("oracle:x=1").unwrap_err();
     assert!(err.contains("takes no parameters"), "{err}");
-    // Values the filter cannot be built with name the valid range.
+    // Values the predictor cannot build or tell apart name the range.
     for (spec, range) in [
         ("cbf:bits=0", "1..=8"),
         ("cbf:bits=9", "1..=8"),
-        ("cbf:hashes=0", "at least 1"),
+        ("cbf:hashes=0", "1..=3"),
+        ("cbf:hashes=4", "1..=3"),
+        ("level-pred:max=256", "0..=255"),
+        ("level-pred:conf=257", "0..=256"),
+        ("perceptron:history=65", "0..=64"),
+        ("perceptron:theta=385", "-384..=384"),
+        ("way-memo:penalty=4294967296", "0..=4294967295"),
     ] {
-        let err = parse_spec(spec).unwrap_err();
+        let err = applied(spec).unwrap_err();
         assert!(err.contains(range), "{spec}: {err}");
     }
 }

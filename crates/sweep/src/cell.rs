@@ -78,7 +78,7 @@ impl CellSpec {
         let CellSource::Synth { benchmark, scale } = self.source;
         metrics::RunManifest {
             mechanism: self.cfg.mechanism.name().to_string(),
-            predictor_spec: sim::predictor::spec_string(&self.cfg),
+            predictor_spec: sim::spec_string(&self.cfg),
             workload: benchmark.name().to_string(),
             seed: format!("synth(core,{})", scale_tag(scale)),
             config_hash: self.content_hash(),

@@ -1,4 +1,4 @@
-//! Differential fuzz harness over the predictor registry.
+//! Differential fuzz harness over the mechanism table.
 //!
 //! Seeded-random configurations × synthetic workloads, checked against the
 //! physics every mechanism must respect rather than against snapshots:
@@ -18,7 +18,7 @@ use energy_model::presets::demo_scale;
 use mem_trace::synth::{PointerChase, Region, SequentialStream, ZipfOverRecords};
 use mem_trace::DynTrace;
 use minijson::ToJson;
-use sim::{parse_spec, run_traces, Mechanism, RunResult, SimConfig};
+use sim::{apply_spec, run_traces, Mechanism, RunResult, SimConfig};
 
 const CORES: usize = 2;
 const ROUNDS: u64 = 4;
@@ -60,11 +60,10 @@ fn trace(kind: u64, seed: u64, core: usize) -> DynTrace {
 }
 
 fn fuzz_config(spec: &str, refs: usize, recalib: Option<u64>) -> SimConfig {
-    let parsed = parse_spec(spec).expect("fuzz spec parses");
     let mut platform = demo_scale();
     platform.cores = CORES;
-    let mut cfg = SimConfig::new(platform, parsed.mechanism);
-    parsed.apply(&mut cfg);
+    let mut cfg = SimConfig::new(platform, Mechanism::Base);
+    apply_spec(&mut cfg, spec).expect("fuzz spec applies");
     cfg.refs_per_core = refs;
     cfg.recalib_period = recalib;
     cfg.validate().expect("fuzz config is valid");
