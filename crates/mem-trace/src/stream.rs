@@ -406,7 +406,9 @@ impl TraceFeed for StreamTrace {
     /// Bulk refill: each pass copies the longest run the decoded chunk
     /// holds — an `extend_from_slice` (`memcpy`) for stride-1 windows, one
     /// strided copy otherwise — so the per-record cost is a copy, not a
-    /// residency check and a virtual call.
+    /// residency check and a virtual call. The strided copy walks
+    /// `chunks(stride)`, whose exact length lets `extend` reserve once and
+    /// skip the per-record capacity check, with no division per run.
     fn refill(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
         let mut pushed = 0usize;
         while pushed < max {
@@ -422,20 +424,19 @@ impl TraceFeed for StreamTrace {
                     break;
                 }
             }
-            let stride = self.stride as usize;
-            let run = &self.decoded[(g - self.base) as usize..];
-            let take = run
-                .len()
-                .div_ceil(stride)
-                .min(self.remaining() as usize)
-                .min(max - pushed);
-            if stride == 1 {
-                out.extend_from_slice(&run[..take]);
-            } else {
-                out.extend(run.iter().step_by(stride).take(take).copied());
+            // This cursor's records left in the decoded chunk: every
+            // `stride`-th one from `g`, short of the window end.
+            let from = (g - self.base) as usize;
+            let len = (self.decoded.len() - from).min((self.end - g) as usize);
+            let run = &self.decoded[from..from + len];
+            let before = out.len();
+            match self.stride {
+                1 => out.extend_from_slice(&run[..len.min(max - pushed)]),
+                stride => out.extend(run.chunks(stride as usize).take(max - pushed).map(|c| c[0])),
             }
+            let take = out.len() - before;
             pushed += take;
-            self.next_global += (take * stride) as u64;
+            self.next_global += take as u64 * self.stride;
         }
         pushed
     }

@@ -23,8 +23,9 @@ pub struct CbfParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LevelPredParams {
     /// Minimum confidence for a prediction to steer the lookup; below it
-    /// the access falls back to the full in-order walk. A threshold above
-    /// `conf_max` makes LevelPred degenerate to Base pricing.
+    /// the access falls back to the full in-order walk. The threshold
+    /// `conf_max + 1` makes LevelPred degenerate to Base pricing; larger
+    /// ones are rejected by [`SimConfig::validate`].
     pub conf_threshold: u32,
     /// Saturation point of the per-entry confidence counters.
     pub conf_max: u8,
@@ -214,14 +215,35 @@ impl SimConfig {
                      number of 1-bit entries (got {pt_bytes})"
                 )
             }),
-            // Each core's memo holds `entries` 8-byte slots.
+            // Each core's memo holds `entries` 8-byte slots, indexed by a
+            // mask: any other count would be rounded to a power of two,
+            // one model under two spec strings.
             (Mechanism::WayMemo, _) => {
                 let entries = self.way_memo.entries;
-                (u64::from(entries) * 8 > llc).then(|| {
-                    format!(
+                if u64::from(entries) * 8 > llc {
+                    Some(format!(
                         "way-memo entries must fit in the {llc}-byte LLC at 8 bytes each, \
                          at most {} (got entries={entries})",
                         llc / 8
+                    ))
+                } else {
+                    (!entries.is_power_of_two()).then(|| {
+                        format!(
+                            "way-memo entries must be a power of two, the number of slots \
+                             the memo is built with (got entries={entries})"
+                        )
+                    })
+                }
+            }
+            // A confidence never exceeds `max`, so every threshold above
+            // `max + 1` never steers, like `max + 1`.
+            (Mechanism::LevelPred, _) => {
+                let (conf, max) = (self.level_pred.conf_threshold, self.level_pred.conf_max);
+                (conf > u32::from(max) + 1).then(|| {
+                    format!(
+                        "level-pred conf must be at most max + 1 = {}, the threshold that \
+                         already never steers (got conf={conf}, max={max})",
+                        u32::from(max) + 1
                     )
                 })
             }
@@ -481,6 +503,46 @@ mod tests {
             c.way_memo.entries = bad;
             let err = c.validate().unwrap_err();
             assert!(err.contains(&format!("entries={bad}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn way_memo_entries_must_be_a_power_of_two() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::WayMemo);
+        for good in [2, 4, 256, 4096] {
+            c.way_memo.entries = good;
+            assert!(c.validate().is_ok(), "entries={good}");
+        }
+        for bad in [3, 255, 257, 300] {
+            c.way_memo.entries = bad;
+            let err = c.validate().unwrap_err();
+            assert!(
+                err.contains("power of two") && err.contains(&format!("entries={bad}")),
+                "{err}"
+            );
+        }
+        c.way_memo.entries = 1;
+        let err = c.validate().unwrap_err();
+        assert!(
+            err.contains("`way-memo:entries`") && err.contains("2..="),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn level_pred_conf_above_max_plus_one_is_rejected() {
+        let mut c = SimConfig::new(demo_scale(), Mechanism::LevelPred);
+        assert!(c.validate().is_ok(), "the defaults: conf 2, max 3");
+        for (conf, max) in [(0, 0), (1, 0), (4, 3), (256, 255)] {
+            c.level_pred.conf_threshold = conf;
+            c.level_pred.conf_max = max;
+            assert!(c.validate().is_ok(), "conf={conf}, max={max}");
+        }
+        for (conf, max) in [(2, 0), (5, 3), (200, 3), (256, 254)] {
+            c.level_pred.conf_threshold = conf;
+            c.level_pred.conf_max = max;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(&format!("conf={conf}, max={max}")), "{err}");
         }
     }
 

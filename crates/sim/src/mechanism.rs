@@ -278,7 +278,8 @@ pub const MECHANISMS: [Row; 8] = [
         policies: INCLUSIVE,
         keys: &[
             // Confidences reach at most 255, so every threshold above 256
-            // never steers, like 256.
+            // never steers, like 256; `validate` also bounds it by
+            // `max + 1`.
             Key {
                 name: "conf",
                 field: "conf_threshold",
@@ -344,11 +345,12 @@ pub const MECHANISMS: [Row; 8] = [
         has_predictor: true,
         policies: INCLUSIVE,
         keys: &[
-            // `validate` also bounds the memo by the LLC's capacity.
+            // `validate` also bounds the memo by the LLC's capacity and
+            // accepts only powers of two.
             Key {
                 name: "entries",
                 field: "entries",
-                min: 1,
+                min: 2,
                 max: u32::MAX as i64,
                 default: 256,
                 get: |c| c.way_memo.entries.into(),

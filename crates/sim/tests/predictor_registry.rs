@@ -31,20 +31,24 @@ fn random_spec(mechanism: Mechanism, st: &mut u64) -> Option<String> {
             1 + splitmix(st) % 7,
             1 + splitmix(st) % 3
         ),
-        Mechanism::LevelPred => format!(
-            "level-pred:conf={},max={},penalty={}",
-            splitmix(st) % 9,
-            1 + splitmix(st) % 8,
-            splitmix(st) % 33
-        ),
+        // `validate` accepts conf ≤ max + 1 only.
+        Mechanism::LevelPred => {
+            let max = 1 + splitmix(st) % 8;
+            format!(
+                "level-pred:conf={},max={max},penalty={}",
+                splitmix(st) % (max + 2),
+                splitmix(st) % 33
+            )
+        }
         Mechanism::Perceptron => format!(
             "perceptron:theta={},history={}",
             splitmix(st) % 101,
             splitmix(st) % 17
         ),
+        // Powers of two from 2 to 4096, the counts `validate` accepts.
         Mechanism::WayMemo => format!(
             "way-memo:entries={},penalty={}",
-            1 + splitmix(st) % 4096,
+            2u64 << (splitmix(st) % 12),
             splitmix(st) % 9
         ),
         _ => return None,

@@ -118,12 +118,15 @@ fn seeded_random_configs_respect_cross_mechanism_invariants() {
             "redhip".to_string(),
             "cbf".to_string(),
             "phased".to_string(),
-            format!(
-                "level-pred:conf={},max={},penalty={}",
-                draw(&mut rng, 1, 4),
-                draw(&mut rng, 1, 7),
-                draw(&mut rng, 0, 16)
-            ),
+            {
+                // `validate` accepts conf ≤ max + 1 only.
+                let max = draw(&mut rng, 1, 7);
+                format!(
+                    "level-pred:conf={},max={max},penalty={}",
+                    draw(&mut rng, 1, (max + 1).min(4)),
+                    draw(&mut rng, 0, 16)
+                )
+            },
             format!(
                 "perceptron:theta={},history={}",
                 draw(&mut rng, 0, 40),
@@ -199,9 +202,9 @@ fn level_pred_degenerates_to_base_when_never_confident() {
         base_cfg.count_prediction_overhead = false;
         let base = run_cfg(&base_cfg, kind, seed);
 
-        // conf > max can never be met: every probe steers Walk, and with
-        // prediction overhead uncounted the pricing is exactly Base's.
-        let mut cfg = fuzz_config("level-pred:conf=9,max=3", refs, Some(1_500));
+        // conf = max + 1 can never be met: every probe steers Walk, and
+        // with prediction overhead uncounted the pricing is exactly Base's.
+        let mut cfg = fuzz_config("level-pred:conf=4,max=3", refs, Some(1_500));
         cfg.count_prediction_overhead = false;
         let r = run_cfg(&cfg, kind, seed);
 
